@@ -15,7 +15,8 @@
 //!
 //! * [`state`] — per-node cumulative state, epoch discipline, FCLU
 //!   persistence.
-//! * [`server`] — the aggregator's accept loop and session handling.
+//! * [`server`] — the aggregator's session, handler and query service,
+//!   served by `felip-server`'s shared connection engine.
 //! * [`streamer`] — the ingest-node side: cut coalescing, delta
 //!   derivation, reconnect/resync.
 
@@ -23,7 +24,6 @@
 
 #[cfg(all(test, feature = "model"))]
 mod model_tests;
-mod query;
 pub mod server;
 pub mod state;
 pub mod streamer;

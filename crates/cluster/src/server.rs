@@ -1,12 +1,15 @@
-//! The aggregator-tier server: accepts ingest-node connections, applies
-//! their epoch-numbered deltas to the shared [`ClusterState`], answers
-//! `STAT` with process-wide telemetry, and periodically persists both the
-//! FCLU per-node container and a plain merged FSNP snapshot.
+//! The aggregator-tier server: applies ingest nodes' epoch-numbered
+//! deltas to the shared [`ClusterState`], answers `STAT` with process-wide
+//! telemetry and `Query` from the merged view, and periodically persists
+//! both the FCLU per-node container and a plain merged FSNP snapshot.
 //!
-//! Delta traffic is low-rate by construction (one frame per node per cut
-//! interval), so connections are served by a portable thread-per-connection
-//! loop over [`TcpTransport`] — the epoll reactor stays an ingest-tier
-//! specialisation.
+//! Connections run on the same engine as the ingest tier
+//! ([`felip_server::serve`]): the epoll reactor on Linux/x86_64, the
+//! portable thread-per-connection loop elsewhere, with the same deadline
+//! sweeps, error replies and flight-recorder coverage. The aggregator
+//! plugs in as a [`FrameHandler`] whose per-connection protocol state is a
+//! transport-agnostic [`ClusterSession`]. Its reactor thread is not
+//! pinned: core placement is an ingest-tier policy.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -18,14 +21,14 @@ use felip_sync::{thread, Arc};
 
 use felip::aggregator::{Aggregator, OracleSet};
 use felip::plan::CollectionPlan;
-use felip_server::stat::stat_payload;
-use felip_server::transport::{RecvOutcome, TcpTransport, Transport};
+use felip_server::serve::{serve, serve_portable, Closed, Deadlines, FrameHandler, Stage};
+use felip_server::stat::stat_reply;
 use felip_server::wire::{
-    decode_delta, decode_hello, decode_query, decode_stat, encode_ack, encode_delta_ack,
-    encode_query_reply, Frame, FrameKind, WireError,
+    decode_delta, decode_hello, decode_query, encode_ack, encode_delta_ack, encode_query_reply,
+    DeltaStatus, Frame, FrameKind, FrameView, WireError,
 };
+use felip_server::{CutSource, FrameOutcome, QueryService};
 
-use crate::query::ClusterQuery;
 use crate::state::ClusterState;
 
 /// How an aggregator run is wired together.
@@ -143,12 +146,30 @@ impl From<WireError> for AggregatorError {
     }
 }
 
+/// The aggregator's cut source: the cluster state's change version (bumped
+/// under the nodes lock on every applied delta) is the head token, and its
+/// versioned merge — counts and version read under one guard — is the
+/// consistent cut.
+struct ClusterCut(Arc<ClusterState>);
+
+impl CutSource for ClusterCut {
+    type Live<'a> = ();
+
+    fn head_token(&self, (): ()) -> u64 {
+        self.0.change_version()
+    }
+
+    fn cut(&self, (): ()) -> Result<(Aggregator, u64), felip_common::Error> {
+        self.0.merged_versioned()
+    }
+}
+
 /// A bound (listening, not yet serving) aggregator.
 pub struct AggregatorServer {
     listener: TcpListener,
     local_addr: SocketAddr,
     state: Arc<ClusterState>,
-    query: Arc<ClusterQuery>,
+    query: QueryService<ClusterCut>,
     config: AggregatorConfig,
     shutdown: Arc<AtomicBool>,
 }
@@ -162,22 +183,22 @@ impl AggregatorServer {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let oracles = Arc::new(OracleSet::build(&plan));
-        let state = match &config.resume {
+        let state = Arc::new(match &config.resume {
             Some(path) => {
-                let restored = ClusterState::read(path, Arc::clone(&plan), oracles)?;
+                let restored = ClusterState::read(path, Arc::clone(&plan), Arc::clone(&oracles))?;
                 felip_obs::counter!("cluster.state.restored", 1, "containers");
                 restored
             }
-            None => ClusterState::new(Arc::clone(&plan), oracles),
-        };
+            None => ClusterState::new(Arc::clone(&plan), Arc::clone(&oracles)),
+        });
         // The query engine is always built cold here — even (especially)
         // on the resume path, so a restarted aggregator can never answer
         // from a grid cached before the restore.
-        let query = Arc::new(ClusterQuery::new(&state));
+        let query = QueryService::new(plan, oracles, ClusterCut(Arc::clone(&state)));
         Ok(AggregatorServer {
             listener,
             local_addr,
-            state: Arc::new(state),
+            state,
             query,
             config,
             shutdown: Arc::new(AtomicBool::new(false)),
@@ -205,15 +226,34 @@ impl AggregatorServer {
         self,
         external_shutdown: Option<&AtomicBool>,
     ) -> Result<AggregatorRun, AggregatorError> {
+        self.run_on(external_shutdown, false)
+    }
+
+    /// [`AggregatorServer::run`] on the platform's connection loop, or on
+    /// the portable one when `portable` is set (tests drive the portable
+    /// loop through this on every platform).
+    pub(crate) fn run_on(
+        self,
+        external_shutdown: Option<&AtomicBool>,
+        portable: bool,
+    ) -> Result<AggregatorRun, AggregatorError> {
         let mut run_span = felip_obs::span!("cluster.run");
-        let stats = AtomicAggStats::default();
-        let connected = AtomicU64::new(0);
         let stop_persist = AtomicBool::new(false);
         let should_stop = || {
             self.shutdown.load(Ordering::SeqCst)
                 || external_shutdown.is_some_and(|f| f.load(Ordering::SeqCst))
         };
-        self.listener.set_nonblocking(true)?;
+        let handler = Aggregation {
+            state: Arc::clone(&self.state),
+            query: self.query,
+            stats: AtomicAggStats::default(),
+            connected: AtomicU64::new(0),
+        };
+        let deadlines = Deadlines {
+            read: self.config.read_timeout,
+            write: self.config.write_timeout,
+            idle: self.config.idle_timeout,
+        };
 
         thread::scope(|scope| -> Result<(), AggregatorError> {
             // Periodic persist: FCLU container + merged FSNP snapshot.
@@ -240,50 +280,13 @@ impl AggregatorServer {
                 });
             }
 
-            let mut conns = Vec::new();
-            while !should_stop() {
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        felip_obs::counter!("cluster.accept", 1, "connections");
-                        stats.connections.fetch_add(1, Ordering::Relaxed);
-                        let state = Arc::clone(&self.state);
-                        let query = Arc::clone(&self.query);
-                        let stats = &stats;
-                        let connected = &connected;
-                        let stop = &should_stop;
-                        let config = &self.config;
-                        conns.push(scope.spawn(move || {
-                            connected.fetch_add(1, Ordering::Relaxed);
-                            felip_obs::gauge!(
-                                "cluster.node.connected",
-                                connected.load(Ordering::Relaxed) as usize,
-                                "nodes"
-                            );
-                            if let Err(e) =
-                                handle_conn(&stream, &state, &query, stats, stop, config)
-                            {
-                                felip_obs::diag::line(&format!("cluster connection closed: {e}"));
-                            }
-                            connected.fetch_sub(1, Ordering::Relaxed);
-                            felip_obs::gauge!(
-                                "cluster.node.connected",
-                                connected.load(Ordering::Relaxed) as usize,
-                                "nodes"
-                            );
-                        }));
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(AggregatorError::Io(e)),
-                }
-            }
-            for c in conns {
-                let _ = c.join();
-            }
+            let served = if portable {
+                serve_portable(&self.listener, &handler, &deadlines, &should_stop)
+            } else {
+                serve(&self.listener, &handler, &deadlines, &should_stop)
+            };
             stop_persist.store(true, Ordering::SeqCst);
-            Ok(())
+            served.map_err(AggregatorError::Io)
         })?;
 
         // Final persist after every connection drained.
@@ -300,7 +303,7 @@ impl AggregatorServer {
         Ok(AggregatorRun {
             nodes: self.state.node_rows(),
             merged,
-            stats: stats.snapshot(),
+            stats: handler.stats.snapshot(),
         })
     }
 }
@@ -325,193 +328,198 @@ fn persist(
     Ok(())
 }
 
-/// Serves one node connection: Hello resyncs the epoch cursor, Delta
-/// applies under the cluster lock, Stat answers pre-plan-check like the
-/// ingest tier's admin plane, and Query — which needs no handshake, a
-/// read-only client may connect just to ask — answers from the merged
-/// cluster view.
-fn handle_conn<F: Fn() -> bool>(
-    stream: &std::net::TcpStream,
-    state: &ClusterState,
-    query: &ClusterQuery,
-    stats: &AtomicAggStats,
-    stop: &F,
-    config: &AggregatorConfig,
-) -> Result<(), WireError> {
-    let mut transport = TcpTransport::new(
-        stream,
-        stop,
-        config.read_timeout,
-        config.write_timeout,
-        config.idle_timeout,
-    )?;
-    let plan_hash = state.plan_hash();
-    let mut hello_seen = false;
-    loop {
-        match transport.recv() {
-            RecvOutcome::Frame(frame) => {
-                let reject = |e: WireError, stats: &AtomicAggStats| {
-                    stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
-                    Frame::error(plan_hash, &e.to_string())
-                };
-                // STAT first: plan-agnostic, handshake-agnostic.
-                if frame.kind == FrameKind::Stat {
-                    match decode_stat(&frame.payload) {
-                        Ok(mode) => {
-                            felip_obs::counter!("cluster.frame.stat", 1, "frames");
-                            transport.send(&Frame {
-                                kind: FrameKind::StatReply,
-                                plan_hash,
-                                payload: stat_payload(mode),
-                            })?;
-                            continue;
-                        }
-                        Err(e) => {
-                            let reply = reject(e, stats);
-                            let _ = transport.send(&reply);
-                            return Ok(());
-                        }
-                    }
-                }
-                if frame.plan_hash != plan_hash {
-                    let e = WireError::PlanMismatch {
-                        ours: plan_hash,
-                        theirs: frame.plan_hash,
-                    };
-                    let reply = reject(e, stats);
-                    let _ = transport.send(&reply);
-                    return Ok(());
-                }
-                match frame.kind {
-                    FrameKind::Hello => match decode_hello(&frame.payload) {
-                        Ok(node_id) => {
-                            hello_seen = true;
-                            let last = state.last_epoch(node_id);
-                            transport.send(&Frame {
-                                kind: FrameKind::Ack,
-                                plan_hash,
-                                payload: encode_ack(last, 0),
-                            })?;
-                        }
-                        Err(e) => {
-                            let reply = reject(e, stats);
-                            let _ = transport.send(&reply);
-                            return Ok(());
-                        }
-                    },
-                    FrameKind::Delta => {
-                        if !hello_seen {
-                            let e = WireError::Malformed("delta before hello handshake".into());
-                            let reply = reject(e, stats);
-                            let _ = transport.send(&reply);
-                            return Ok(());
-                        }
-                        let delta = match decode_delta(&frame.payload) {
-                            Ok(d) => d,
-                            Err(e) => {
-                                let reply = reject(e, stats);
-                                let _ = transport.send(&reply);
-                                return Ok(());
-                            }
-                        };
-                        let epoch = delta.epoch;
-                        let t0 = Instant::now();
-                        match state.apply(&delta) {
-                            Ok(result) => {
-                                felip_obs::hist!(
-                                    "cluster.delta.apply",
-                                    t0.elapsed().as_micros() as u64,
-                                    "us"
-                                );
-                                match result.status {
-                                    felip_server::wire::DeltaStatus::Applied => {
-                                        stats.deltas_applied.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    felip_server::wire::DeltaStatus::Duplicate => {
-                                        stats.deltas_duplicate.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    felip_server::wire::DeltaStatus::ResyncRequired => {
-                                        stats.deltas_resync.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
-                                transport.send(&Frame {
-                                    kind: FrameKind::DeltaAck,
-                                    plan_hash,
-                                    payload: encode_delta_ack(
-                                        epoch,
-                                        result.last_applied,
-                                        result.status,
-                                    ),
-                                })?;
-                            }
-                            Err(e) => {
-                                let reply = reject(e, stats);
-                                let _ = transport.send(&reply);
-                                return Ok(());
-                            }
-                        }
-                    }
-                    FrameKind::Query => {
-                        let req = match decode_query(&frame.payload) {
-                            Ok(r) => r,
-                            Err(e) => {
-                                let reply = reject(e, stats);
-                                let _ = transport.send(&reply);
-                                return Ok(());
-                            }
-                        };
-                        match query.answer(state, &req) {
-                            Ok(ans) => {
-                                transport.send(&Frame {
-                                    kind: FrameKind::QueryReply,
-                                    plan_hash,
-                                    payload: encode_query_reply(&ans),
-                                })?;
-                            }
-                            Err(e) => {
-                                // Unanswerable (bad predicates, no reports
-                                // yet): answer an Error frame but keep the
-                                // connection — the client may retry.
-                                felip_obs::counter!("cluster.query.errors", 1, "queries");
-                                transport.send(&Frame::error(plan_hash, &e.to_string()))?;
-                            }
-                        }
-                    }
-                    other => {
-                        let e = WireError::Malformed(format!("node sent {other:?} frame"));
-                        let reply = reject(e, stats);
-                        let _ = transport.send(&reply);
-                        return Ok(());
-                    }
-                }
-            }
-            RecvOutcome::Eof | RecvOutcome::Shutdown => return Ok(()),
-            RecvOutcome::NoData => continue,
-            RecvOutcome::Idle => {
-                felip_obs::counter!("cluster.conn.reaped", 1, "connections");
-                return Ok(());
-            }
-            RecvOutcome::Err(e) => {
-                stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
-                let _ = transport.send(&Frame::error(plan_hash, &e.to_string()));
-                return Err(e);
-            }
+/// The aggregator tier as the connection engine sees it: everything a
+/// node connection's session shares with the rest of the run.
+struct Aggregation {
+    state: Arc<ClusterState>,
+    query: QueryService<ClusterCut>,
+    stats: AtomicAggStats,
+    /// Node connections currently open.
+    connected: AtomicU64,
+}
+
+impl Aggregation {
+    /// Counts a rejected frame and decides to close after the error reply.
+    fn reject_outcome(&self, e: WireError) -> FrameOutcome {
+        FrameOutcome {
+            reply: self.reject(&e),
+            accepted: None,
+            close: Some(e),
+        }
+    }
+
+    /// A reply that keeps the connection open.
+    fn reply(&self, kind: FrameKind, payload: Vec<u8>) -> FrameOutcome {
+        FrameOutcome {
+            reply: Frame {
+                kind,
+                plan_hash: self.state.plan_hash(),
+                payload,
+            },
+            accepted: None,
+            close: None,
         }
     }
 }
 
-// The ClusterState lock guard must not be held across `transport.send`
-// (a blocked peer would stall every other node's applies); `state.apply`
-// and `state.last_epoch` each take and release the lock internally, so
-// the reply path above is lock-free by construction.
+impl FrameHandler for Aggregation {
+    type Session = ClusterSession;
+    const PIN_LOOP: bool = false;
+    const CLOSE_LOG: &'static str = "cluster connection closed";
+
+    fn open(&self) -> ClusterSession {
+        felip_obs::counter!("cluster.accept", 1, "connections");
+        self.stats.connections.fetch_add(1, Ordering::Relaxed);
+        let open = self
+            .connected
+            .fetch_add(1, Ordering::Relaxed)
+            .saturating_add(1);
+        felip_obs::gauge!("cluster.node.connected", open as usize, "nodes");
+        ClusterSession::default()
+    }
+
+    fn on_frame(&self, session: &mut ClusterSession, frame: FrameView<'_>) -> FrameOutcome {
+        session.on_frame(frame, self)
+    }
+
+    fn peer_id(session: &ClusterSession) -> u64 {
+        session.node_id.unwrap_or(0)
+    }
+
+    fn reject(&self, e: &WireError) -> Frame {
+        self.stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
+        Frame::error(self.state.plan_hash(), &e.to_string())
+    }
+
+    /// Delta traffic is low-rate (one frame per node per cut interval)
+    /// and the `server.stage.*` histograms describe the ingest hot path,
+    /// so the aggregator records no stage latencies.
+    fn stage(&self, _stage: Stage, _ns: u64) {}
+
+    fn on_close(&self, _session: ClusterSession, closed: &Closed) {
+        if matches!(closed, Closed::Reaped) {
+            felip_obs::counter!("cluster.conn.reaped", 1, "connections");
+        }
+        let open = self
+            .connected
+            .fetch_sub(1, Ordering::Relaxed)
+            .saturating_sub(1);
+        felip_obs::gauge!("cluster.node.connected", open as usize, "nodes");
+    }
+}
+
+/// One node connection's protocol state: Hello resyncs the epoch cursor,
+/// Delta applies under the cluster lock, Stat answers before the plan
+/// check like the ingest tier's admin plane, and Query — which needs no
+/// handshake, a read-only client may connect just to ask — answers from
+/// the merged cluster view. Transport-agnostic, like the ingest tier's
+/// session: it sees decoded frames and returns a [`FrameOutcome`].
+#[derive(Debug, Default)]
+pub(crate) struct ClusterSession {
+    /// The node id from the `Hello` handshake; deltas need one.
+    node_id: Option<u64>,
+}
+
+impl ClusterSession {
+    fn on_frame(&mut self, frame: FrameView<'_>, agg: &Aggregation) -> FrameOutcome {
+        // STAT first: plan-agnostic, handshake-agnostic.
+        if frame.kind == FrameKind::Stat {
+            return match stat_reply(frame.payload, agg.state.plan_hash()) {
+                Ok(reply) => {
+                    felip_obs::counter!("cluster.frame.stat", 1, "frames");
+                    FrameOutcome {
+                        reply,
+                        accepted: None,
+                        close: None,
+                    }
+                }
+                Err(e) => agg.reject_outcome(e),
+            };
+        }
+        let plan_hash = agg.state.plan_hash();
+        if frame.plan_hash != plan_hash {
+            return agg.reject_outcome(WireError::PlanMismatch {
+                ours: plan_hash,
+                theirs: frame.plan_hash,
+            });
+        }
+        match frame.kind {
+            FrameKind::Hello => match decode_hello(frame.payload) {
+                Ok(node_id) => {
+                    self.node_id = Some(node_id);
+                    let last = agg.state.last_epoch(node_id);
+                    agg.reply(FrameKind::Ack, encode_ack(last, 0))
+                }
+                Err(e) => agg.reject_outcome(e),
+            },
+            FrameKind::Delta => {
+                if self.node_id.is_none() {
+                    return agg.reject_outcome(WireError::Malformed(
+                        "delta before hello handshake".into(),
+                    ));
+                }
+                let delta = match decode_delta(frame.payload) {
+                    Ok(d) => d,
+                    Err(e) => return agg.reject_outcome(e),
+                };
+                // `apply` takes and releases the cluster lock internally,
+                // so no reply is ever written while it is held.
+                let t0 = Instant::now();
+                let result = match agg.state.apply(&delta) {
+                    Ok(r) => r,
+                    Err(e) => return agg.reject_outcome(e),
+                };
+                felip_obs::hist!("cluster.delta.apply", t0.elapsed().as_micros() as u64, "us");
+                let counter = match result.status {
+                    DeltaStatus::Applied => &agg.stats.deltas_applied,
+                    DeltaStatus::Duplicate => &agg.stats.deltas_duplicate,
+                    DeltaStatus::ResyncRequired => &agg.stats.deltas_resync,
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
+                agg.reply(
+                    FrameKind::DeltaAck,
+                    encode_delta_ack(delta.epoch, result.last_applied, result.status),
+                )
+            }
+            FrameKind::Query => {
+                let req = match decode_query(frame.payload) {
+                    Ok(r) => r,
+                    Err(e) => return agg.reject_outcome(e),
+                };
+                match agg.query.answer((), &req) {
+                    Ok(ans) => {
+                        felip_obs::counter!("cluster.query.answered", 1, "queries");
+                        agg.reply(FrameKind::QueryReply, encode_query_reply(&ans))
+                    }
+                    Err(e) => {
+                        // Unanswerable (bad predicates, no reports yet):
+                        // answer an Error frame but keep the connection —
+                        // the client may retry.
+                        felip_obs::counter!("cluster.query.errors", 1, "queries");
+                        FrameOutcome {
+                            reply: Frame::error(plan_hash, &e.to_string()),
+                            accepted: None,
+                            close: None,
+                        }
+                    }
+                }
+            }
+            other => agg.reject_outcome(WireError::Malformed(format!("node sent {other:?} frame"))),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use felip::config::FelipConfig;
+    use felip_common::Predicate;
     use felip_common::{Attribute, Schema};
     use felip_server::wire::{
-        encode_delta, encode_hello as hello_payload, CountDelta, DeltaFlavor,
+        decode_stat, encode_delta, encode_hello as hello_payload, encode_query, encode_stat,
+        CountDelta, DeltaFlavor, QueryMode, QueryRequest, StatMode,
     };
+    use proptest::prelude::*;
 
     fn tiny_plan() -> Arc<CollectionPlan> {
         let schema = Schema::new(vec![
@@ -766,5 +774,170 @@ mod tests {
             assert_eq!(run.stats.frames_rejected, 1);
             assert_eq!(run.merged.reports_ingested(), 0);
         });
+    }
+
+    /// Node 7's full cumulative state over users `0..15`.
+    fn node_delta(plan: &Arc<CollectionPlan>) -> CountDelta {
+        let agg = felip_server::loadgen::offline_reference(plan, 0..15, 5).unwrap();
+        CountDelta {
+            node_id: 7,
+            epoch: 1,
+            flavor: DeltaFlavor::Full,
+            total: agg.reports_ingested() as u64,
+            counts: agg.counts().to_vec(),
+            group_sizes: agg.group_sizes().iter().map(|&s| s as u64).collect(),
+        }
+    }
+
+    fn probe_query(id: u64) -> QueryRequest {
+        QueryRequest {
+            query_id: id,
+            mode: QueryMode::Cached,
+            predicates: vec![
+                Predicate::between(0, 4, 20),
+                Predicate::in_set(1, vec![1, 2]),
+            ],
+        }
+    }
+
+    /// Hello, Delta and Query through one aggregator on the chosen loop;
+    /// returns every reply frame.
+    fn hello_delta_query(portable: bool) -> Vec<Frame> {
+        let plan = tiny_plan();
+        let plan_hash = plan.schema_hash();
+        let server =
+            AggregatorServer::bind(Arc::clone(&plan), AggregatorConfig::default()).unwrap();
+        let addr = server.local_addr();
+        let stop = server.shutdown_handle();
+        let requests = [
+            (FrameKind::Hello, hello_payload(7)),
+            (FrameKind::Delta, encode_delta(&node_delta(&plan)).unwrap()),
+            (FrameKind::Query, encode_query(&probe_query(1)).unwrap()),
+        ];
+        thread::scope(|s| {
+            let handle = s.spawn(|| server.run_on(None, portable).unwrap());
+            let mut conn = std::net::TcpStream::connect(addr).unwrap();
+            let replies = requests
+                .into_iter()
+                .map(|(kind, payload)| {
+                    let frame = Frame {
+                        kind,
+                        plan_hash,
+                        payload,
+                    };
+                    felip_server::wire::write_frame(&mut conn, &frame).unwrap();
+                    felip_server::wire::read_frame(&mut conn).unwrap().unwrap()
+                })
+                .collect();
+            drop(conn);
+            stop.store(true, Ordering::SeqCst);
+            let run = handle.join().unwrap();
+            assert_eq!(run.stats.deltas_applied, 1);
+            replies
+        })
+    }
+
+    /// The portable loop compiles and serves the aggregator on every
+    /// platform, and a Hello/Delta/Query round trip through it is
+    /// byte-identical to the same round trip through the platform loop.
+    #[test]
+    fn portable_loop_matches_platform_loop() {
+        let portable = hello_delta_query(true);
+        assert_eq!(
+            portable.iter().map(|f| f.kind).collect::<Vec<_>>(),
+            [FrameKind::Ack, FrameKind::DeltaAck, FrameKind::QueryReply]
+        );
+        assert_eq!(portable, hello_delta_query(false));
+    }
+
+    /// Every frame kind, in discriminant order.
+    const KINDS: [FrameKind; 11] = [
+        FrameKind::Hello,
+        FrameKind::ReportBatch,
+        FrameKind::Ack,
+        FrameKind::Retry,
+        FrameKind::Error,
+        FrameKind::Stat,
+        FrameKind::StatReply,
+        FrameKind::Delta,
+        FrameKind::DeltaAck,
+        FrameKind::Query,
+        FrameKind::QueryReply,
+    ];
+
+    proptest! {
+        /// Garbage in a CRC-valid frame of every kind, fed straight to the
+        /// aggregator's handler with no socket: a kind nodes may not send,
+        /// or a payload its kind's decoder rejects, is answered with a
+        /// typed `Error` frame that closes the connection — never a panic
+        /// — and no malformed delta reaches the merged state.
+        #[test]
+        fn crc_valid_garbage_gets_typed_error_replies(
+            kind in 0usize..11,
+            op in 0u8..5,
+            pos in 0usize..64,
+            byte in 1u8..=255,
+            junk in proptest::collection::vec(0u8..=255u8, 0..48),
+            handshake in 0u8..2,
+        ) {
+            let plan = tiny_plan();
+            let plan_hash = plan.schema_hash();
+            let oracles = Arc::new(OracleSet::build(&plan));
+            let state = Arc::new(ClusterState::new(Arc::clone(&plan), Arc::clone(&oracles)));
+            let handler = Aggregation {
+                query: QueryService::new(Arc::clone(&plan), oracles, ClusterCut(Arc::clone(&state))),
+                state,
+                stats: AtomicAggStats::default(),
+                connected: AtomicU64::new(0),
+            };
+
+            let kind = KINDS[kind];
+            let mut payload = match kind {
+                FrameKind::Hello => hello_payload(7),
+                FrameKind::Delta => encode_delta(&node_delta(&plan)).unwrap(),
+                FrameKind::Query => encode_query(&probe_query(1)).unwrap(),
+                FrameKind::Stat => encode_stat(StatMode::Full),
+                _ => b"not a payload".to_vec(),
+            };
+            // Keep, truncate, flip one byte, extend, or replace.
+            match op {
+                1 => payload.truncate(pos % (payload.len() + 1)),
+                2 if !payload.is_empty() => {
+                    let at = pos % payload.len();
+                    payload[at] ^= byte;
+                }
+                3 => payload.extend_from_slice(&junk),
+                4 => payload = junk,
+                _ => {}
+            }
+            let bytes = Frame { kind, plan_hash, payload }.encode();
+            let (view, used) = FrameView::decode_prefix(&bytes).unwrap().unwrap();
+            prop_assert_eq!(used, bytes.len());
+            let well_formed = match kind {
+                FrameKind::Hello => decode_hello(view.payload).is_ok(),
+                FrameKind::Delta => decode_delta(view.payload).is_ok(),
+                FrameKind::Stat => decode_stat(view.payload).is_ok(),
+                FrameKind::Query => decode_query(view.payload).is_ok(),
+                _ => false,
+            };
+
+            let mut session = handler.open();
+            if handshake == 1 {
+                let hello = Frame { kind: FrameKind::Hello, plan_hash, payload: hello_payload(7) };
+                prop_assert!(handler.on_frame(&mut session, hello.view()).close.is_none());
+            }
+            let out = handler.on_frame(&mut session, view);
+            prop_assert_eq!(out.reply.plan_hash, plan_hash);
+            if !well_formed {
+                prop_assert_eq!(out.reply.kind, FrameKind::Error);
+                prop_assert!(out.close.is_some());
+            }
+            if out.reply.kind == FrameKind::Error {
+                prop_assert!(!out.reply.payload.is_empty());
+            }
+            // Whatever was applied is plan-consistent: the merge succeeds.
+            prop_assert!(handler.state.merged().is_ok());
+            handler.on_close(session, &Closed::Clean);
+        }
     }
 }

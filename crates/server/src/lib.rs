@@ -9,8 +9,10 @@
 //! resumed server produces estimates bit-identical to one that never
 //! stopped.
 //!
-//! The server's protocol logic is transport-agnostic: connections speak
-//! through the [`transport::Transport`] trait and all per-connection
+//! Connection serving is one engine for both tiers ([`serve`]): the epoll
+//! reactor on Linux/x86_64 and a portable thread-per-connection loop
+//! elsewhere, both generic over a tier's [`serve::FrameHandler`]. The
+//! server's protocol logic is transport-agnostic: all per-connection
 //! decisions live in the `session` state machine, so the deterministic
 //! [`simharness`] can drive the *same* code over an in-memory transport
 //! on a virtual clock, injecting seeded [`fault`]s (drops, corruption,
@@ -28,10 +30,11 @@ pub mod fault;
 pub mod loadgen;
 #[cfg(all(test, feature = "model"))]
 mod model_tests;
-mod query;
+pub mod query;
 pub mod queue;
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod reactor;
+pub mod serve;
 pub mod server;
 mod session;
 pub mod signal;
@@ -43,7 +46,9 @@ pub mod wire;
 
 pub use client::{BatchReply, Client, PipelinedClient, PumpStats, RetryPolicy};
 pub use fault::{FaultConfig, FaultKind, FaultSchedule};
+pub use query::{CutSource, QueryService};
 pub use server::{CutHook, CutState, Server, ServerConfig, ServerError, ServerRun, ServerStats};
+pub use session::{AcceptedBatch, FrameOutcome};
 pub use simharness::{SimConfig, SimReport, SimTransport};
 pub use snapshot::Snapshot;
 pub use transport::{RecvOutcome, TcpTransport, Transport};

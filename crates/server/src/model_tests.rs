@@ -22,7 +22,7 @@ use felip_common::{Attribute, Schema};
 use felip::query::QueryEngine;
 
 use crate::loadgen;
-use crate::query::QueryService;
+use crate::query::{IngestCut, QueryService};
 use crate::queue::{BoundedQueue, PopResult};
 use crate::server::{consistent_cut, AtomicStats};
 use crate::session::{Session, SessionCtx};
@@ -400,10 +400,14 @@ fn model_query_epoch_and_counts_never_tear() {
         let service = Arc::new(QueryService::new(
             Arc::clone(&plan),
             Arc::clone(&oracles),
-            Arc::clone(&base),
-            Arc::clone(&shards),
-            vec![Arc::clone(&q)],
-            0,
+            IngestCut {
+                plan: Arc::clone(&plan),
+                oracles: Arc::clone(&oracles),
+                base: Arc::clone(&base),
+                shards: Arc::clone(&shards),
+                queues: vec![Arc::clone(&q)],
+                base_reports: 0,
+            },
         ));
         let session = {
             let (ctx, q, stats) = (Arc::clone(&ctx), Arc::clone(&q), Arc::clone(&stats));
@@ -434,7 +438,7 @@ fn model_query_epoch_and_counts_never_tear() {
                         mode: QueryMode::Cached,
                         predicates: probe(&plan).predicates().to_vec(),
                     };
-                    match service.answer(&ctx, &stats, &req) {
+                    match service.answer((&ctx, &stats), &req) {
                         // An empty cut is the one admissible error.
                         Err(_) => {}
                         Ok(ans) => {
@@ -464,7 +468,7 @@ fn model_query_epoch_and_counts_never_tear() {
             mode: QueryMode::Fresh,
             predicates: probe(&plan).predicates().to_vec(),
         };
-        let ans = service.answer(&ctx, &stats, &req).expect("final answer");
+        let ans = service.answer((&ctx, &stats), &req).expect("final answer");
         assert_eq!(ans.reports, 3);
         assert_eq!(ans.answer.to_bits(), after_b2);
         assert_eq!(ans.epoch, ans.head_epoch, "quiesced head cannot be stale");

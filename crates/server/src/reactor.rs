@@ -1,5 +1,6 @@
 //! The readiness-driven serve hot path: a single-threaded epoll event
-//! loop that replaces thread-per-connection accept on Linux/x86_64.
+//! loop that serves both tiers on Linux/x86_64 in place of the portable
+//! thread-per-connection loop (`serve.rs`).
 //!
 //! ## Why an event loop
 //!
@@ -15,16 +16,16 @@
 //! ## Discipline
 //!
 //! * All raw `epoll_*`/`sched_*` syscalls in the workspace live in THIS
-//!   file — `xtask lint` (rule `reactor-syscalls`) enforces it. There is
-//!   no libc crate; the syscalls are issued with `core::arch::asm!`.
-//! * The reactor does I/O only. Every protocol decision still goes
-//!   through [`Session::on_frame_view`], the same state machine the
-//!   deterministic chaos harness drives over `SimTransport` — reactor
-//!   I/O sits outside the modeled sync points, so the model checker's
-//!   session/queue/snapshot results keep applying verbatim.
+//!   file — `xtask analyze` (rule `reactor-syscalls`) enforces it. There
+//!   is no libc crate; the syscalls are issued with `core::arch::asm!`.
+//! * The reactor does I/O only. Every protocol decision goes through the
+//!   tier's [`FrameHandler`] — for the ingest tier the same session state
+//!   machine the deterministic chaos harness drives over `SimTransport` —
+//!   so reactor I/O sits outside the modeled sync points, and the model
+//!   checker's session/queue/snapshot results keep applying verbatim.
 //! * The loop is single-threaded: connection state needs no locks. The
-//!   only shared mutation (dedup cursors, queue pushes) happens inside
-//!   the session call, under the same `felip_sync` primitives as before.
+//!   only shared mutation (dedup cursors, queue pushes, delta applies)
+//!   happens inside the handler call, under `felip_sync` primitives.
 //!
 //! ## Deadlines
 //!
@@ -39,14 +40,8 @@ use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::time::{Duration, Instant};
 
-use felip_sync::Arc;
-
-use felip::client::UserReport;
-
-use crate::queue::BoundedQueue;
-use crate::server::{AtomicStats, ServerConfig};
-use crate::session::{Session, SessionCtx};
-use crate::wire::{Frame, FrameView, WireError};
+use crate::serve::{finish, Closed, Deadlines, FrameHandler, Stage, CONN_OPEN};
+use crate::wire::{FrameView, WireError};
 
 // ---------------------------------------------------------------------------
 // Raw syscall layer (the only one in the workspace)
@@ -235,8 +230,8 @@ fn num_cores() -> usize {
     (bits as usize).max(1)
 }
 
-/// Pins ingest worker `w` under the serve pinning policy: the reactor
-/// owns core 0, workers round-robin over the remaining cores. On a
+/// Pins ingest worker `w` under the ingest tier's pinning policy: the
+/// reactor owns core 0, workers round-robin over the remaining cores. On a
 /// single-core box pinning is skipped (everything shares the core
 /// regardless, and an explicit mask would only fight the scheduler).
 pub(crate) fn pin_worker(w: usize) {
@@ -259,11 +254,10 @@ const CONN_INTEREST: u32 = EPOLLIN | EPOLLRDHUP | EPOLLET;
 
 /// Per-connection state owned by the reactor (single-threaded, so none
 /// of this needs locks).
-struct Conn {
+struct Conn<S> {
     stream: TcpStream,
-    session: Session,
-    /// The worker queue this connection was pinned to at accept time.
-    queue: Arc<BoundedQueue<Vec<UserReport>>>,
+    /// The tier's protocol state for this connection.
+    session: S,
     /// Bytes received but not yet decoded (at most one partial frame
     /// after each wakeup — whole frames are consumed immediately).
     rbuf: Vec<u8>,
@@ -279,54 +273,32 @@ struct Conn {
     want_write: bool,
     /// Close once `wbuf` drains (a fatal reply is in flight).
     close_after_flush: Option<WireError>,
-    /// The wire version the peer stamped on its latest frame; replies are
-    /// encoded at this version so down-level (v2) peers keep parsing us.
-    peer_version: u8,
-}
-
-/// Flight-event codes for [`felip_obs::flight::KIND_CONN`] records.
-const CONN_OPEN: u16 = 0;
-/// Clean close (EOF, reap, shutdown).
-const CONN_CLOSE_CLEAN: u16 = 1;
-/// Close after a protocol/transport error.
-const CONN_CLOSE_ERROR: u16 = 2;
-
-/// Why a connection ended (mirrors the thread-per-connection paths).
-enum Closed {
-    /// Clean EOF, idle reap, or shutdown — not an error.
-    Clean,
-    /// Protocol/transport failure; logged like the threaded path logs
-    /// `handle_conn` errors.
-    Error(WireError),
 }
 
 /// Runs the serve event loop until `stop` flips. Accepts connections,
-/// drains readable sockets, decodes and dispatches frames through the
-/// shared [`Session`] state machine, and enforces the idle/stall
-/// deadlines — all on the calling thread.
-pub(crate) fn run_reactor<F: Fn() -> bool>(
+/// drains readable sockets, decodes frames and hands each to `handler`,
+/// and enforces the idle/stall deadlines — all on the calling thread.
+pub(crate) fn run_reactor<H: FrameHandler, F: Fn() -> bool>(
     listener: &TcpListener,
-    ctx: &SessionCtx,
-    queues: &[Arc<BoundedQueue<Vec<UserReport>>>],
-    stats: &AtomicStats,
+    handler: &H,
+    deadlines: &Deadlines,
     stop: &F,
-    config: &ServerConfig,
 ) -> io::Result<()> {
-    if num_cores() > 1 {
+    if H::PIN_LOOP && num_cores() > 1 {
         // Keep the hot loop cache-resident on core 0; workers take 1..n.
         let _ = pin_to_core(0);
     }
+    listener.set_nonblocking(true)?;
     let epoll = Epoll::new()?;
     epoll.ctl(EPOLL_CTL_ADD, listener.as_raw_fd(), EPOLLIN, LISTENER_TOKEN)?;
 
-    let mut conns: Vec<Option<Conn>> = Vec::new();
+    let mut conns: Vec<Option<Conn<H::Session>>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut events = vec![EpollEvent { events: 0, data: 0 }; 1024];
     // Socket reads land here first, then append to the connection's
     // rbuf; one scratch serves every connection since the loop is
     // single-threaded.
     let mut scratch = vec![0u8; 256 * 1024];
-    let mut next_worker = 0usize;
     let mut last_sweep = Instant::now();
 
     while !stop() {
@@ -339,16 +311,8 @@ pub(crate) fn run_reactor<F: Fn() -> bool>(
             let (mask, token) = (ev.events, ev.data);
             if token == LISTENER_TOKEN {
                 let t0 = Instant::now();
-                accept_ready(
-                    listener,
-                    &epoll,
-                    &mut conns,
-                    &mut free,
-                    queues,
-                    &mut next_worker,
-                    stats,
-                )?;
-                felip_obs::hist!("server.stage.accept", t0.elapsed().as_nanos() as u64, "ns");
+                accept_ready(listener, &epoll, &mut conns, &mut free, handler);
+                handler.stage(Stage::Accept, t0.elapsed().as_nanos() as u64);
                 continue;
             }
             let idx = token as usize;
@@ -357,11 +321,9 @@ pub(crate) fn run_reactor<F: Fn() -> bool>(
                 // have been replaced — see `freed`).
                 continue;
             };
-            if let Some(closed) = handle_event(conn, mask, &epoll, token, ctx, stats, &mut scratch)
-            {
-                finish(closed);
-                if let Some(slot) = conns.get_mut(idx) {
-                    *slot = None;
+            if let Some(closed) = handle_event(conn, mask, &epoll, token, handler, &mut scratch) {
+                if let Some(conn) = conns.get_mut(idx).and_then(Option::take) {
+                    finish(handler, conn.session, closed);
                 }
                 freed.push(idx);
             }
@@ -370,48 +332,38 @@ pub(crate) fn run_reactor<F: Fn() -> bool>(
 
         if last_sweep.elapsed() >= Duration::from_millis(10) {
             last_sweep = Instant::now();
-            sweep_deadlines(&mut conns, &mut free, ctx, stats, config);
+            sweep_deadlines(&mut conns, &mut free, handler, deadlines);
         }
     }
 
     // Shutdown: flush whatever reply bytes are pending (best effort) and
     // drop every connection; clients resync via Hello on reconnect.
-    for conn in conns.iter_mut().flatten() {
-        let _ = flush(conn);
+    for mut conn in conns.into_iter().flatten() {
+        let _ = flush(&mut conn);
+        finish(handler, conn.session, Closed::Clean);
     }
     Ok(())
 }
 
 /// Accepts until the listener would block, registering each connection
-/// edge-triggered and pinning it round-robin to a worker queue.
-fn accept_ready(
+/// edge-triggered with a fresh session from `handler`.
+fn accept_ready<H: FrameHandler>(
     listener: &TcpListener,
     epoll: &Epoll,
-    conns: &mut Vec<Option<Conn>>,
+    conns: &mut Vec<Option<Conn<H::Session>>>,
     free: &mut Vec<usize>,
-    queues: &[Arc<BoundedQueue<Vec<UserReport>>>],
-    next_worker: &mut usize,
-    stats: &AtomicStats,
-) -> io::Result<()> {
+    handler: &H,
+) {
     loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                felip_obs::counter!("server.accept", 1, "connections");
-                stats.bump_connection();
                 if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                     // The peer is already gone; nothing to clean up.
                     continue;
                 }
-                let worker = *next_worker % queues.len().max(1);
-                let queue = match queues.get(worker) {
-                    Some(q) => Arc::clone(q),
-                    None => continue,
-                };
-                *next_worker += 1;
                 let conn = Conn {
                     stream,
-                    session: Session::for_worker(worker),
-                    queue,
+                    session: handler.open(),
                     rbuf: Vec::new(),
                     wbuf: Vec::new(),
                     wpos: 0,
@@ -419,7 +371,6 @@ fn accept_ready(
                     partial_since: None,
                     want_write: false,
                     close_after_flush: None,
-                    peer_version: crate::wire::VERSION,
                 };
                 let idx = match free.pop() {
                     Some(i) => i,
@@ -437,8 +388,8 @@ fn accept_ready(
                     .is_err()
                 {
                     // Registration failed (fd limit pressure); drop it.
-                    if let Some(slot) = conns.get_mut(idx) {
-                        *slot = None;
+                    if let Some(conn) = conns.get_mut(idx).and_then(Option::take) {
+                        handler.on_close(conn.session, &Closed::Clean);
                     }
                     free.push(idx);
                 } else {
@@ -450,24 +401,23 @@ fn accept_ready(
                     );
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             // Transient per-connection accept failures (ECONNABORTED,
             // EMFILE under load) must not kill the serve loop.
-            Err(_) => return Ok(()),
+            Err(_) => return,
         }
     }
 }
 
 /// Handles one epoll event for a connection. Returns `Some` when the
 /// connection must be dropped.
-fn handle_event(
-    conn: &mut Conn,
+fn handle_event<H: FrameHandler>(
+    conn: &mut Conn<H::Session>,
     mask: u32,
     epoll: &Epoll,
     token: u64,
-    ctx: &SessionCtx,
-    stats: &AtomicStats,
+    handler: &H,
     scratch: &mut [u8],
 ) -> Option<Closed> {
     if mask & (EPOLLERR | EPOLLHUP) != 0 {
@@ -499,19 +449,18 @@ fn handle_event(
         }
     }
     if mask & (EPOLLIN | EPOLLRDHUP) != 0 {
-        return on_readable(conn, epoll, token, ctx, stats, scratch);
+        return on_readable(conn, epoll, token, handler, scratch);
     }
     None
 }
 
 /// Drains the socket to `EAGAIN` (edge-triggered contract), decodes and
 /// dispatches every complete frame, queues replies, and flushes.
-fn on_readable(
-    conn: &mut Conn,
+fn on_readable<H: FrameHandler>(
+    conn: &mut Conn<H::Session>,
     epoll: &Epoll,
     token: u64,
-    ctx: &SessionCtx,
-    stats: &AtomicStats,
+    handler: &H,
     scratch: &mut [u8],
 ) -> Option<Closed> {
     let t_read = Instant::now();
@@ -551,44 +500,26 @@ fn on_readable(
         match FrameView::decode_prefix(&conn.rbuf[consumed..]) {
             Ok(Some((view, used))) => {
                 let t_decoded = Instant::now();
-                felip_obs::hist!(
-                    "server.stage.decode",
+                handler.stage(
+                    Stage::Decode,
                     carry + (t_decoded - t_prev).as_nanos() as u64,
-                    "ns"
                 );
                 carry = 0;
                 let frame_kind = view.kind as u16;
                 let frame_len = view.payload.len() as u64;
-                conn.peer_version = view.version;
-                let outcome = conn.session.on_frame_view(view, ctx, &conn.queue, stats);
+                let outcome = handler.on_frame(&mut conn.session, view);
                 consumed += used;
                 let t_ingested = Instant::now();
-                felip_obs::hist!(
-                    "server.stage.ingest",
-                    (t_ingested - t_decoded).as_nanos() as u64,
-                    "ns"
-                );
+                handler.stage(Stage::Ingest, (t_ingested - t_decoded).as_nanos() as u64);
                 felip_obs::flight::flight().record(
                     felip_obs::flight::KIND_FRAME,
                     frame_kind,
-                    conn.session.client_id().unwrap_or(0),
+                    H::peer_id(&conn.session),
                     frame_len,
                 );
-                // Replies are stamped with the peer's own version so a
-                // v2 client keeps decoding a v3 server.
-                crate::wire::append_frame_versioned(
-                    &mut conn.wbuf,
-                    conn.peer_version,
-                    outcome.reply.kind,
-                    outcome.reply.plan_hash,
-                    &outcome.reply.payload,
-                );
+                outcome.reply.encode_into(&mut conn.wbuf);
                 t_prev = Instant::now();
-                felip_obs::hist!(
-                    "server.stage.ack",
-                    (t_prev - t_ingested).as_nanos() as u64,
-                    "ns"
-                );
+                handler.stage(Stage::Ack, (t_prev - t_ingested).as_nanos() as u64);
                 if let Some(e) = outcome.close {
                     fatal = Some(e);
                     break;
@@ -597,22 +528,14 @@ fn on_readable(
             Ok(None) => break,
             Err(e) => {
                 // Garbled framing: answer with an error (best effort)
-                // and drop the connection, like the threaded path.
-                stats.bump_rejected();
+                // and drop the connection.
                 felip_obs::flight::flight().record(
                     felip_obs::flight::KIND_ERROR,
                     0,
                     felip_obs::flight::fnv1a(&e.to_string()),
                     0,
                 );
-                let reply = Frame::error(ctx.plan_hash, &e.to_string());
-                crate::wire::append_frame_versioned(
-                    &mut conn.wbuf,
-                    conn.peer_version,
-                    reply.kind,
-                    reply.plan_hash,
-                    &reply.payload,
-                );
+                handler.reject(&e).encode_into(&mut conn.wbuf);
                 fatal = Some(e);
                 break;
             }
@@ -675,17 +598,13 @@ fn on_readable(
         }
         Err(e) => Some(Closed::Error(WireError::Io(e))),
     };
-    felip_obs::hist!(
-        "server.stage.flush",
-        t_flush.elapsed().as_nanos() as u64,
-        "ns"
-    );
+    handler.stage(Stage::Flush, t_flush.elapsed().as_nanos() as u64);
     result
 }
 
 /// Writes pending reply bytes until done (`Ok(true)`) or the kernel
 /// buffer fills (`Ok(false)`).
-fn flush(conn: &mut Conn) -> io::Result<bool> {
+fn flush<S>(conn: &mut Conn<S>) -> io::Result<bool> {
     while conn.wpos < conn.wbuf.len() {
         match (&conn.stream).write(&conn.wbuf[conn.wpos..]) {
             Ok(0) => {
@@ -707,19 +626,18 @@ fn flush(conn: &mut Conn) -> io::Result<bool> {
 
 /// Enforces the idle and mid-frame-stall deadlines across all live
 /// connections (runs on the 10 ms tick).
-fn sweep_deadlines(
-    conns: &mut [Option<Conn>],
+fn sweep_deadlines<H: FrameHandler>(
+    conns: &mut [Option<Conn<H::Session>>],
     free: &mut Vec<usize>,
-    ctx: &SessionCtx,
-    stats: &AtomicStats,
-    config: &ServerConfig,
+    handler: &H,
+    deadlines: &Deadlines,
 ) {
     let now = Instant::now();
     for (idx, slot) in conns.iter_mut().enumerate() {
         let Some(conn) = slot.as_mut() else { continue };
         let closed = if conn
             .partial_since
-            .is_some_and(|t| now.duration_since(t) >= config.read_timeout)
+            .is_some_and(|t| now.duration_since(t) >= deadlines.read)
         {
             // A frame started arriving and stalled: an error, not
             // idleness — matches `TcpTransport`'s stall semantics.
@@ -727,55 +645,17 @@ fn sweep_deadlines(
                 io::ErrorKind::TimedOut,
                 "read deadline exceeded mid-frame",
             ));
-            stats.bump_rejected();
-            let reply = Frame::error(ctx.plan_hash, &e.to_string());
-            crate::wire::append_frame_versioned(
-                &mut conn.wbuf,
-                conn.peer_version,
-                reply.kind,
-                reply.plan_hash,
-                &reply.payload,
-            );
+            handler.reject(&e).encode_into(&mut conn.wbuf);
             let _ = flush(conn);
-            Some(Closed::Error(e))
-        } else if now.duration_since(conn.last_byte) >= config.idle_timeout {
-            // Quiet too long: reap. Safe — a returning client
-            // reconnects and resyncs its cursor from the Hello ack.
-            stats.bump_reaped();
-            Some(Closed::Clean)
+            Closed::Error(e)
+        } else if now.duration_since(conn.last_byte) >= deadlines.idle {
+            Closed::Reaped
         } else {
-            None
+            continue;
         };
-        if let Some(closed) = closed {
-            finish(closed);
-            *slot = None;
-            free.push(idx);
+        if let Some(conn) = slot.take() {
+            finish(handler, conn.session, closed);
         }
-    }
-}
-
-/// Final accounting for a closing connection (parity with how the
-/// threaded accept loop logs `handle_conn` results).
-fn finish(closed: Closed) {
-    match closed {
-        Closed::Error(e) => {
-            felip_obs::counter!("server.conn.errors", 1, "connections");
-            let msg = format!("connection closed: {e}");
-            felip_obs::flight::flight().record(
-                felip_obs::flight::KIND_CONN,
-                CONN_CLOSE_ERROR,
-                felip_obs::flight::fnv1a(&msg),
-                0,
-            );
-            felip_obs::diag::line(&msg);
-        }
-        Closed::Clean => {
-            felip_obs::flight::flight().record(
-                felip_obs::flight::KIND_CONN,
-                CONN_CLOSE_CLEAN,
-                0,
-                0,
-            );
-        }
+        free.push(idx);
     }
 }

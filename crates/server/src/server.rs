@@ -1,9 +1,11 @@
-//! The streaming ingestion server: accept thread, fixed worker pool with
-//! bounded queues, shard aggregators, periodic + final snapshots.
+//! The streaming ingestion server: the ingest tier's [`FrameHandler`], a
+//! fixed worker pool with bounded queues, shard aggregators, periodic +
+//! final snapshots.
 //!
-//! Data path (DESIGN.md §12.2): connection handlers decode and *validate*
-//! frames, then `try_push` whole batches onto the worker queue the
-//! connection was pinned to at accept time. A full queue answers RETRY —
+//! Data path (DESIGN.md §12.2): the connection engine (`serve.rs`) decodes
+//! frames; the session state machine *validates* them, then `try_push`es
+//! whole batches onto the worker queue the connection was pinned to at
+//! accept time. A full queue answers RETRY —
 //! the client backs off and resends, so a slow worker never grows memory
 //! beyond `workers × queue_capacity` batches. Each worker folds batches
 //! into its private shard [`Aggregator`]; exact `u64` counts make the final
@@ -12,27 +14,23 @@
 
 use std::fs::OpenOptions;
 use std::io::{self, Write};
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-use std::net::TcpStream;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use felip_sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use felip_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use felip_sync::{thread, Arc, Mutex};
 
 use felip::aggregator::{Aggregator, OracleSet};
 use felip::client::UserReport;
 use felip::plan::CollectionPlan;
 
+use crate::query::{IngestCut, QueryService};
 use crate::queue::{BoundedQueue, PopResult};
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-use crate::session::Session;
-use crate::session::SessionCtx;
+use crate::serve::{Closed, Deadlines, FrameHandler, Stage};
+use crate::session::{FrameOutcome, Session, SessionCtx};
 use crate::snapshot::Snapshot;
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-use crate::transport::{RecvOutcome, TcpTransport, Transport};
-use crate::wire::WireError;
+use crate::wire::{Frame, FrameView, WireError};
 
 /// A point-in-time copy of the server's merged count state, captured at a
 /// consistent cut and handed to [`ServerConfig::cut_hook`]. This is the
@@ -338,6 +336,17 @@ impl Server {
     /// alongside the internal handle so SIGTERM/ctrl-c trigger the same
     /// graceful path.
     pub fn run(self, external_shutdown: Option<&AtomicBool>) -> Result<ServerRun, ServerError> {
+        self.run_on(external_shutdown, false)
+    }
+
+    /// [`Server::run`] on the platform's connection loop, or on the
+    /// portable one when `portable` is set (tests drive the portable loop
+    /// through this on every platform).
+    pub(crate) fn run_on(
+        self,
+        external_shutdown: Option<&AtomicBool>,
+        portable: bool,
+    ) -> Result<ServerRun, ServerError> {
         let mut run_span = felip_obs::span!("server.run");
         let workers = self.config.workers.max(1);
         run_span.field("workers", workers);
@@ -377,13 +386,17 @@ impl Server {
                 .collect(),
         );
         let mut ctx = SessionCtx::new(Arc::clone(&self.plan), Arc::clone(&self.oracles), dedup0);
-        ctx.install_query(Arc::new(crate::query::QueryService::new(
+        ctx.install_query(Arc::new(QueryService::new(
             Arc::clone(&self.plan),
             Arc::clone(&self.oracles),
-            Arc::clone(&base),
-            Arc::clone(&shards),
-            queues.clone(),
-            base_reports,
+            IngestCut {
+                plan: Arc::clone(&self.plan),
+                oracles: Arc::clone(&self.oracles),
+                base: Arc::clone(&base),
+                shards: Arc::clone(&shards),
+                queues: queues.clone(),
+                base_reports,
+            },
         )));
         let ctx = ctx;
         let stats = AtomicStats::default();
@@ -393,8 +406,6 @@ impl Server {
             self.shutdown.load(Ordering::SeqCst)
                 || external_shutdown.is_some_and(|f| f.load(Ordering::SeqCst))
         };
-
-        self.listener.set_nonblocking(true)?;
 
         thread::scope(|scope| -> Result<(), ServerError> {
             // Ingest workers: drain their queue into their shard.
@@ -592,72 +603,33 @@ impl Server {
                 });
             }
 
-            // Serve until shutdown. On Linux/x86_64 a single
-            // readiness-driven epoll reactor owns every connection
-            // (accept, decode, session dispatch, ack) — see
-            // `reactor.rs` and DESIGN.md §15. Elsewhere the portable
-            // thread-per-connection loop below does the same work over
-            // blocking `TcpTransport`s.
-            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-            crate::reactor::run_reactor(
-                &self.listener,
-                &ctx,
-                &queues,
-                &stats,
-                &should_stop,
-                &self.config,
-            )?;
+            // Serve until shutdown: the connection engine (`serve.rs`)
+            // owns accept, framing, deadlines and close logging; the
+            // ingest handler owns the protocol.
+            let handler = Ingest {
+                ctx: &ctx,
+                queues: &queues,
+                stats: &stats,
+                next_worker: AtomicUsize::new(0),
+            };
+            let deadlines = Deadlines {
+                read: self.config.read_timeout,
+                write: self.config.write_timeout,
+                idle: self.config.idle_timeout,
+            };
+            let served = if portable {
+                crate::serve::serve_portable(&self.listener, &handler, &deadlines, &should_stop)
+            } else {
+                crate::serve::serve(&self.listener, &handler, &deadlines, &should_stop)
+            };
 
-            #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-            {
-                // Accept loop. Connections are pinned round-robin to
-                // workers.
-                let mut conns = Vec::new();
-                let mut next_worker = 0usize;
-                while !should_stop() {
-                    match self.listener.accept() {
-                        Ok((stream, _peer)) => {
-                            felip_obs::counter!("server.accept", 1, "connections");
-                            stats.bump_connection();
-                            let worker = next_worker % workers;
-                            let queue = Arc::clone(&queues[worker]);
-                            next_worker += 1;
-                            let ctx = &ctx;
-                            let stats = &stats;
-                            let stop = &should_stop;
-                            let config = &self.config;
-                            conns.push(scope.spawn(move || {
-                                if let Err(e) =
-                                    handle_conn(stream, worker, ctx, queue, stats, stop, config)
-                                {
-                                    // Peer went away or spoke garbage; the
-                                    // connection is already torn down.
-                                    felip_obs::counter!("server.conn.errors", 1, "connections");
-                                    felip_obs::diag::line(&format!("connection closed: {e}"));
-                                }
-                            }));
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(e) => return Err(ServerError::Io(e)),
-                    }
-                }
-
-                // Graceful drain: stop accepting (done), let in-flight
-                // connections finish.
-                for c in conns {
-                    let _ = c.join();
-                }
-            }
-
-            // Close queues so workers drain their backlog and exit.
+            // Close queues so workers drain their backlog and exit (also
+            // when the loop failed, or the scope would never join).
             for q in &queues {
                 q.close();
             }
             stop_snapshots.store(true, Ordering::SeqCst);
-            Ok(())
+            served.map_err(ServerError::Io)
         })?;
 
         // All workers joined (scope end): merge shards into the base. The
@@ -739,60 +711,68 @@ fn merge_state(
     Ok(merged)
 }
 
-/// Serves one connection: frames come off a deadline-aware
-/// [`TcpTransport`], protocol decisions are made by the shared
-/// [`Session`] state machine, and the idle reaper closes connections
-/// that go quiet past `config.idle_timeout`. This is the portable
-/// fallback path; on Linux/x86_64 the epoll reactor serves connections
-/// instead (see `reactor.rs`).
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-fn handle_conn<F: Fn() -> bool>(
-    stream: TcpStream,
-    worker: usize,
-    ctx: &SessionCtx,
+/// The ingest tier as the connection engine sees it: report batches go
+/// through the session state machine into the worker queue each
+/// connection was pinned to (round-robin) at accept.
+pub(crate) struct Ingest<'a> {
+    ctx: &'a SessionCtx,
+    queues: &'a [Arc<BoundedQueue<Vec<UserReport>>>],
+    stats: &'a AtomicStats,
+    next_worker: AtomicUsize,
+}
+
+/// One ingest connection: its session plus its pinned worker queue.
+pub(crate) struct IngestConn {
+    session: Session,
     queue: Arc<BoundedQueue<Vec<UserReport>>>,
-    stats: &AtomicStats,
-    stop: &F,
-    config: &ServerConfig,
-) -> Result<(), WireError> {
-    let mut transport = TcpTransport::new(
-        &stream,
-        stop,
-        config.read_timeout,
-        config.write_timeout,
-        config.idle_timeout,
-    )?;
-    let mut session = Session::for_worker(worker);
-    loop {
-        match transport.recv() {
-            RecvOutcome::Frame(frame) => {
-                let outcome = session.on_frame(frame, ctx, &queue, stats);
-                match outcome.close {
-                    // Closing anyway: the error reply is best-effort.
-                    Some(e) => {
-                        let _ = transport.send(&outcome.reply);
-                        return Err(e);
-                    }
-                    None => transport.send(&outcome.reply)?,
-                }
-            }
-            // Clean EOF, or the shutdown flag flipped mid-wait.
-            RecvOutcome::Eof | RecvOutcome::Shutdown => return Ok(()),
-            RecvOutcome::NoData => continue,
-            RecvOutcome::Idle => {
-                // The reaper: nothing arrived for the whole idle window.
-                // Closing is safe — a client that comes back reconnects
-                // and resyncs its batch cursor from the Hello ack.
-                stats.bump_reaped();
-                return Ok(());
-            }
-            RecvOutcome::Err(e) => {
-                // Garbled framing or a mid-frame stall: tell the peer
-                // (best effort) and drop the connection.
-                stats.bump_rejected();
-                let _ = transport.send(&crate::wire::Frame::error(ctx.plan_hash, &e.to_string()));
-                return Err(e);
-            }
+}
+
+impl FrameHandler for Ingest<'_> {
+    type Session = IngestConn;
+    const PIN_LOOP: bool = true;
+    const CLOSE_LOG: &'static str = "connection closed";
+
+    fn open(&self) -> IngestConn {
+        felip_obs::counter!("server.accept", 1, "connections");
+        self.stats.bump_connection();
+        let worker = self.next_worker.fetch_add(1, Ordering::Relaxed) % self.queues.len();
+        IngestConn {
+            session: Session::for_worker(worker),
+            queue: Arc::clone(&self.queues[worker]),
+        }
+    }
+
+    #[inline]
+    fn on_frame(&self, conn: &mut IngestConn, frame: FrameView<'_>) -> FrameOutcome {
+        conn.session
+            .on_frame_view(frame, self.ctx, &conn.queue, self.stats)
+    }
+
+    fn peer_id(conn: &IngestConn) -> u64 {
+        conn.session.client_id().unwrap_or(0)
+    }
+
+    fn reject(&self, e: &WireError) -> Frame {
+        self.stats.bump_rejected();
+        Frame::error(self.ctx.plan_hash, &e.to_string())
+    }
+
+    #[inline]
+    fn stage(&self, stage: Stage, ns: u64) {
+        match stage {
+            Stage::Accept => felip_obs::hist!("server.stage.accept", ns, "ns"),
+            Stage::Decode => felip_obs::hist!("server.stage.decode", ns, "ns"),
+            Stage::Ingest => felip_obs::hist!("server.stage.ingest", ns, "ns"),
+            Stage::Ack => felip_obs::hist!("server.stage.ack", ns, "ns"),
+            Stage::Flush => felip_obs::hist!("server.stage.flush", ns, "ns"),
+        }
+    }
+
+    fn on_close(&self, _conn: IngestConn, closed: &Closed) {
+        match closed {
+            Closed::Clean => {}
+            Closed::Reaped => self.stats.bump_reaped(),
+            Closed::Error(_) => felip_obs::counter!("server.conn.errors", 1, "connections"),
         }
     }
 }
@@ -800,10 +780,24 @@ fn handle_conn<F: Fn() -> bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::Session;
-    use crate::wire::{encode_batch, encode_hello, Frame, FrameKind};
+    use crate::loadgen::{offline_reference, user_report};
+    use crate::wire::{
+        decode_batch, decode_hello, decode_query, decode_stat, encode_batch, encode_hello,
+        encode_query, encode_stat, FrameKind, QueryMode, QueryRequest, StatMode,
+    };
+    use crate::{PipelinedClient, RetryPolicy};
     use felip::config::FelipConfig;
-    use felip_common::{Attribute, Schema};
+    use felip_common::{Attribute, Predicate, Schema};
+    use proptest::prelude::*;
+
+    fn tiny_plan(n: usize) -> Arc<CollectionPlan> {
+        let schema = Schema::new(vec![
+            Attribute::numerical("a", 32),
+            Attribute::categorical("c", 4),
+        ])
+        .unwrap();
+        Arc::new(CollectionPlan::build(&schema, n, &FelipConfig::new(1.0), 3).unwrap())
+    }
 
     /// Regression for the acked-but-unsnapshotted race: batches sit acked
     /// (cursor advanced) in the worker queue while a periodic snapshot
@@ -884,5 +878,203 @@ mod tests {
             );
             queue.close();
         });
+    }
+
+    /// The portable thread-per-connection loop compiles and serves on
+    /// every platform, not only where it is the default: a pipelined flood
+    /// from two clients into one-slot-deep queues (so RETRY resyncs fire)
+    /// ends with counts bit-identical to the offline collection.
+    #[test]
+    fn portable_loop_serves_pipelined_load_bit_identically() {
+        const USERS: usize = 800;
+        const BATCH: usize = 40;
+        const SEED: u64 = 11;
+        let plan = tiny_plan(USERS);
+        let plan_hash = plan.schema_hash();
+        let server = Server::bind(
+            Arc::clone(&plan),
+            ServerConfig {
+                workers: 2,
+                queue_capacity: 1,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let (addr, stop) = (server.local_addr(), server.shutdown_handle());
+        // Two clients over disjoint halves of the users, each a stream of
+        // pre-encoded frames with batch ids 1, 2, ….
+        let streams: Vec<Vec<Vec<u8>>> = (0..2)
+            .map(|c| {
+                let users: Vec<usize> = (c * USERS / 2..(c + 1) * USERS / 2).collect();
+                users
+                    .chunks(BATCH)
+                    .enumerate()
+                    .map(|(i, chunk)| {
+                        let reports: Vec<_> = chunk
+                            .iter()
+                            .map(|&u| user_report(&plan, u, SEED).unwrap())
+                            .collect();
+                        Frame {
+                            kind: FrameKind::ReportBatch,
+                            plan_hash,
+                            payload: encode_batch(i as u64 + 1, &reports).unwrap(),
+                        }
+                        .encode()
+                    })
+                    .collect()
+            })
+            .collect();
+        thread::scope(|s| {
+            let handle = s.spawn(|| server.run_on(None, true).unwrap());
+            let pumps: Vec<_> = streams
+                .iter()
+                .enumerate()
+                .map(|(c, frames)| {
+                    s.spawn(move || {
+                        let mut client = PipelinedClient::connect_with(
+                            addr,
+                            plan_hash,
+                            100 + c as u64,
+                            RetryPolicy::default(),
+                        )
+                        .unwrap();
+                        client.pump_encoded(frames, 4).unwrap();
+                    })
+                })
+                .collect();
+            for p in pumps {
+                p.join().unwrap();
+            }
+            stop.store(true, Ordering::SeqCst);
+            let run = handle.join().unwrap();
+            let offline = offline_reference(&plan, 0..USERS, SEED).unwrap();
+            assert_eq!(run.aggregator.counts(), offline.counts());
+            assert_eq!(run.aggregator.group_sizes(), offline.group_sizes());
+            assert_eq!(run.stats.reports_accepted, USERS as u64);
+        });
+    }
+
+    /// Every frame kind, in discriminant order.
+    const KINDS: [FrameKind; 11] = [
+        FrameKind::Hello,
+        FrameKind::ReportBatch,
+        FrameKind::Ack,
+        FrameKind::Retry,
+        FrameKind::Error,
+        FrameKind::Stat,
+        FrameKind::StatReply,
+        FrameKind::Delta,
+        FrameKind::DeltaAck,
+        FrameKind::Query,
+        FrameKind::QueryReply,
+    ];
+
+    /// A well-formed payload of each client verb, for the property to
+    /// mutate; other kinds start from arbitrary bytes.
+    fn seed_payload(kind: FrameKind, plan: &CollectionPlan) -> Vec<u8> {
+        match kind {
+            FrameKind::Hello => encode_hello(7),
+            FrameKind::ReportBatch => {
+                let reports: Vec<_> = (0..2).map(|u| user_report(plan, u, 1).unwrap()).collect();
+                encode_batch(1, &reports).unwrap()
+            }
+            FrameKind::Stat => encode_stat(StatMode::Full),
+            FrameKind::Query => encode_query(&QueryRequest {
+                query_id: 1,
+                mode: QueryMode::Fresh,
+                predicates: vec![
+                    Predicate::between(0, 2, 20),
+                    Predicate::in_set(1, vec![0, 3]),
+                ],
+            })
+            .unwrap(),
+            _ => b"not a payload".to_vec(),
+        }
+    }
+
+    /// Keeps, truncates, flips one byte of, extends, or replaces `payload`.
+    fn mutate(mut payload: Vec<u8>, op: u8, pos: usize, byte: u8, junk: Vec<u8>) -> Vec<u8> {
+        match op {
+            1 => payload.truncate(pos % (payload.len() + 1)),
+            2 if !payload.is_empty() => {
+                let at = pos % payload.len();
+                payload[at] ^= byte;
+            }
+            3 => payload.extend_from_slice(&junk),
+            4 => payload = junk,
+            _ => {}
+        }
+        payload
+    }
+
+    proptest! {
+        /// Garbage in a CRC-valid frame of every kind, fed straight to the
+        /// ingest tier's handler with no socket: a kind clients may not
+        /// send, or a payload its kind's decoder rejects, is answered with
+        /// a typed `Error` frame that closes the connection — never a
+        /// panic. Well-formed frames may get any reply.
+        #[test]
+        fn crc_valid_garbage_gets_typed_error_replies(
+            kind in 0usize..11,
+            op in 0u8..5,
+            pos in 0usize..64,
+            byte in 1u8..=255,
+            junk in proptest::collection::vec(0u8..=255u8, 0..48),
+            handshake in 0u8..2,
+        ) {
+            let plan = tiny_plan(60);
+            let oracles = Arc::new(OracleSet::build(&plan));
+            let plan_hash = plan.schema_hash();
+            let queues = vec![Arc::new(BoundedQueue::new(4))];
+            let fresh = || Mutex::new(Aggregator::with_oracles(Arc::clone(&plan), Arc::clone(&oracles)));
+            let mut ctx = SessionCtx::new(Arc::clone(&plan), Arc::clone(&oracles), Vec::new());
+            ctx.install_query(Arc::new(QueryService::new(
+                Arc::clone(&plan),
+                Arc::clone(&oracles),
+                IngestCut {
+                    plan: Arc::clone(&plan),
+                    oracles: Arc::clone(&oracles),
+                    base: Arc::new(fresh()),
+                    shards: Arc::new(vec![fresh()]),
+                    queues: queues.clone(),
+                    base_reports: 0,
+                },
+            )));
+            let stats = AtomicStats::default();
+            let handler = Ingest {
+                ctx: &ctx,
+                queues: &queues,
+                stats: &stats,
+                next_worker: AtomicUsize::new(0),
+            };
+
+            let kind = KINDS[kind];
+            let payload = mutate(seed_payload(kind, &plan), op, pos, byte, junk);
+            let bytes = Frame { kind, plan_hash, payload }.encode();
+            let (view, used) = FrameView::decode_prefix(&bytes).unwrap().unwrap();
+            prop_assert_eq!(used, bytes.len());
+            let well_formed = match kind {
+                FrameKind::Hello => decode_hello(view.payload).is_ok(),
+                FrameKind::ReportBatch => decode_batch(view.payload).is_ok(),
+                FrameKind::Stat => decode_stat(view.payload).is_ok(),
+                FrameKind::Query => decode_query(view.payload).is_ok(),
+                _ => false,
+            };
+
+            let mut conn = handler.open();
+            if handshake == 1 {
+                let hello = Frame { kind: FrameKind::Hello, plan_hash, payload: encode_hello(7) };
+                prop_assert!(handler.on_frame(&mut conn, hello.view()).close.is_none());
+            }
+            let out = handler.on_frame(&mut conn, view);
+            prop_assert_eq!(out.reply.plan_hash, plan_hash);
+            if !well_formed {
+                prop_assert_eq!(out.reply.kind, FrameKind::Error);
+                prop_assert!(out.close.is_some());
+            }
+            if out.reply.kind == FrameKind::Error {
+                prop_assert!(!out.reply.payload.is_empty());
+            }
+        }
     }
 }

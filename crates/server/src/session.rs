@@ -1,6 +1,7 @@
 //! The transport-agnostic per-connection protocol state machine.
 //!
-//! Both the TCP connection handler and the deterministic sim harness feed
+//! Both connection loops (through the ingest tier's
+//! [`crate::serve::FrameHandler`]) and the deterministic sim harness feed
 //! decoded frames through [`Session::on_frame`]; all protocol decisions —
 //! plan pinning, batch validation, duplicate suppression, backpressure —
 //! live here exactly once, so what the chaos harness proves about the
@@ -30,10 +31,11 @@ use felip::aggregator::OracleSet;
 use felip::client::UserReport;
 use felip::plan::CollectionPlan;
 
+use crate::query::{IngestCut, QueryService};
 use crate::queue::{BoundedQueue, PushError};
 use crate::server::AtomicStats;
 use crate::wire::{
-    decode_batch, decode_hello, decode_stat, encode_ack, encode_retry, Frame, FrameKind, WireError,
+    decode_batch, decode_hello, encode_ack, encode_retry, Frame, FrameKind, WireError,
 };
 
 /// Server-wide state shared by every session: the plan, the oracles used
@@ -49,7 +51,7 @@ pub(crate) struct SessionCtx {
     pub dedup: Mutex<HashMap<u64, u64>>,
     /// The online query service (v5 `Query` verb); `None` until the serve
     /// run installs it, and in contexts that only ingest (tests, sims).
-    pub query: Option<Arc<crate::query::QueryService>>,
+    pub query: Option<Arc<QueryService<IngestCut>>>,
 }
 
 impl SessionCtx {
@@ -72,7 +74,7 @@ impl SessionCtx {
 
     /// Installs the online query service (called once by the serve run
     /// after its shards and queues exist).
-    pub fn install_query(&mut self, service: Arc<crate::query::QueryService>) {
+    pub fn install_query(&mut self, service: Arc<QueryService<IngestCut>>) {
         self.query = Some(service);
     }
 
@@ -94,7 +96,7 @@ impl SessionCtx {
 /// A batch the session just accepted (queued for ingestion) — the unit the
 /// sim harness counts as "server-acked".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct AcceptedBatch {
+pub struct AcceptedBatch {
     /// The sending client.
     pub client_id: u64,
     /// The batch's per-client sequence number.
@@ -103,11 +105,12 @@ pub(crate) struct AcceptedBatch {
     pub reports: u32,
 }
 
-/// What [`Session::on_frame`] decided.
-pub(crate) struct FrameOutcome {
+/// What a tier's session decided about one frame.
+pub struct FrameOutcome {
     /// Reply to send to the peer (always present; errors reply best-effort).
     pub reply: Frame,
-    /// Set when a batch was newly accepted this frame.
+    /// Set when a report batch was newly accepted this frame (ingest
+    /// tier only).
     pub accepted: Option<AcceptedBatch>,
     /// Set when the connection must close after the reply (the error to
     /// report); duplicate and retry frames do *not* close.
@@ -137,12 +140,8 @@ impl Session {
         }
     }
 
-    /// The handshaken client id (`None` before `Hello`) — the reactor
-    /// stamps it on flight-recorder events.
-    #[cfg_attr(
-        not(all(target_os = "linux", target_arch = "x86_64")),
-        allow(dead_code)
-    )]
+    /// The handshaken client id (`None` before `Hello`) — the connection
+    /// loops stamp it on flight-recorder events.
     pub fn client_id(&self) -> Option<u64> {
         self.client_id
     }
@@ -181,15 +180,11 @@ impl Session {
         // a plan-agnostic operator tool that sends plan hash 0 — may ask
         // for a metrics snapshot, so it is handled before plan pinning.
         if frame.kind == FrameKind::Stat {
-            return match decode_stat(frame.payload) {
-                Ok(mode) => {
+            return match crate::stat::stat_reply(frame.payload, ctx.plan_hash) {
+                Ok(reply) => {
                     felip_obs::counter!("server.frame.stat", 1, "frames");
                     FrameOutcome {
-                        reply: Frame {
-                            kind: FrameKind::StatReply,
-                            plan_hash: ctx.plan_hash,
-                            payload: crate::stat::stat_payload(mode),
-                        },
+                        reply,
                         accepted: None,
                         close: None,
                     }
@@ -328,16 +323,19 @@ impl Session {
                         "query serving not enabled on this server".into(),
                     ));
                 };
-                match service.answer(ctx, stats, &req) {
-                    Ok(ans) => FrameOutcome {
-                        reply: Frame {
-                            kind: FrameKind::QueryReply,
-                            plan_hash: ctx.plan_hash,
-                            payload: crate::wire::encode_query_reply(&ans),
-                        },
-                        accepted: None,
-                        close: None,
-                    },
+                match service.answer((ctx, stats), &req) {
+                    Ok(ans) => {
+                        felip_obs::counter!("server.query.answered", 1, "queries");
+                        FrameOutcome {
+                            reply: Frame {
+                                kind: FrameKind::QueryReply,
+                                plan_hash: ctx.plan_hash,
+                                payload: crate::wire::encode_query_reply(&ans),
+                            },
+                            accepted: None,
+                            close: None,
+                        }
+                    }
                     Err(e) => {
                         // An unanswerable query (invalid predicates, empty
                         // collection) answers an Error frame but keeps the

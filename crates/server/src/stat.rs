@@ -19,18 +19,26 @@
 use felip_obs::MetricsSnapshot;
 use felip_sync::Mutex;
 
-use crate::wire::StatMode;
+use crate::wire::{decode_stat, Frame, FrameKind, StatMode, WireError};
 
 /// Baseline for `StatMode::Delta`: the snapshot taken by the previous
 /// delta request, or `None` before the first one.
 static LAST_DELTA: Mutex<Option<MetricsSnapshot>> = Mutex::new(None);
 
+/// Answers one `Stat` request payload: the `StatReply` frame (stamped
+/// with `plan_hash`), or the decode error to reject it with. Both tiers'
+/// sessions answer STAT through this, before their plan check; the
+/// metrics registry and flight recorder are process-global either way.
+pub fn stat_reply(payload: &[u8], plan_hash: u64) -> Result<Frame, WireError> {
+    Ok(Frame {
+        kind: FrameKind::StatReply,
+        plan_hash,
+        payload: stat_payload(decode_stat(payload)?),
+    })
+}
+
 /// Builds the `StatReply` payload for one decoded [`StatMode`].
-///
-/// Public so the cluster aggregator's session can answer `STAT` with the
-/// same payload shapes the ingest server uses (the metrics registry and
-/// flight recorder are process-global either way).
-pub fn stat_payload(mode: StatMode) -> Vec<u8> {
+fn stat_payload(mode: StatMode) -> Vec<u8> {
     match mode {
         StatMode::Full => felip_obs::global()
             .metrics_snapshot()

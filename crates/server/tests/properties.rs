@@ -13,7 +13,10 @@ use felip::plan::CollectionPlan;
 use felip_common::{Attribute, Schema};
 use felip_fo::Report;
 use felip_server::loadgen::offline_reference;
-use felip_server::wire::{decode_reports, encode_reports};
+use felip_server::wire::{
+    decode_ack, decode_delta, decode_hello, decode_query, decode_query_reply, decode_reports,
+    decode_stat, encode_reports,
+};
 use felip_server::{Frame, FrameKind, Snapshot};
 
 /// One arbitrary report from the raw ingredients: tag choice, scalar
@@ -87,8 +90,8 @@ proptest! {
         prop_assert!(Frame::decode(&bytes).is_err(), "flip at {} accepted", pos);
     }
 
-    /// Arbitrary garbage never decodes into a report batch by accident of
-    /// panicking — it either round-trips as declared data or errors.
+    /// Arbitrary garbage never makes a decoder panic — every payload
+    /// decoder either returns declared data or a typed error.
     #[test]
     fn garbage_payloads_never_panic(
         payload in proptest::collection::vec(0u8..=255u8, 0..200),
@@ -97,6 +100,12 @@ proptest! {
         let _ = decode_reports(&payload);
         let _ = Frame::decode(&payload);
         let _ = Snapshot::decode(&payload);
+        let _ = decode_delta(&payload);
+        let _ = decode_query(&payload);
+        let _ = decode_query_reply(&payload);
+        let _ = decode_hello(&payload);
+        let _ = decode_ack(&payload);
+        let _ = decode_stat(&payload);
     }
 
     /// Snapshot save → load → restore → estimate is bit-identical to the

@@ -6,10 +6,11 @@
 //! * `taint`  — privacy-taint: raw values must not reach wire/log sinks
 //! * `locks`  — static lock-order graph over felip-sync mutexes, no cycles
 //! * `arith`  — explicit overflow semantics on count arithmetic
-//! * `rules`  — token-level ports of the PR-5 lint rules R1/R2/R3/R5/R6
+//! * `rules`  — no-panic, sync-shims, safety-comments, reactor-syscalls,
+//!   metric-registry on the token tree
 //!
-//! plus the two content-anchored PR-5 string rules (golden-constants,
-//! bench-schema) which stay on the line scanner. Output is the PR-5
+//! plus the two content-anchored rules (golden-constants, bench-schema)
+//! that match literal bytes in specific files. Output is the
 //! `file:line: [rule] message` shape, or `--format json` for tooling.
 
 use std::path::{Path, PathBuf};
@@ -17,7 +18,7 @@ use std::path::{Path, PathBuf};
 use crate::tree::Workspace;
 use crate::{arith, locks, rules, taint};
 
-/// One analyzer finding. Like the PR-5 `Diagnostic` plus an optional
+/// One analyzer finding. Like a content-rule `Diagnostic` plus an optional
 /// flow trace (taint findings explain where the raw value came from).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Finding {
@@ -79,7 +80,7 @@ pub fn analyze_root(root: &Path) -> AnalyzeReport {
     findings.extend(arith::run(&ws));
     findings.extend(rules::run(&ws, root));
 
-    // Content-anchored string rules stay on the PR-5 scanner.
+    // Content-anchored rules match literal bytes, not tokens.
     let mut diags = Vec::new();
     crate::rule_golden_constants(root, &mut diags);
     crate::rule_bench_schema(root, &mut diags);

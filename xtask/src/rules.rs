@@ -1,17 +1,15 @@
-//! Token-level ports of the PR-5 string rules (DESIGN.md §14 → §18).
+//! The repo-specific rules on the token tree (DESIGN.md §18): `no-panic`,
+//! `sync-shims`, `safety-comments`, `reactor-syscalls` and
+//! `metric-registry`.
 //!
-//! The old `xtask lint` works on a comment/string-stripped line view and
-//! needs hand-rolled false-positive handling (whole-word matching,
-//! column bookkeeping, multi-line literal chasing). On the token tree the
-//! same rules fall out directly: a `Str` token can never trip `panic!(`,
-//! `forbid(unsafe_code)` is three tokens none of which is the `unsafe`
-//! keyword, and test gating is the item tree's `#[cfg(test)]` scopes
-//! rather than a per-line bitmap.
+//! On tokens these rules fall out directly: a `Str` token can never trip
+//! `panic!(`, `forbid(unsafe_code)` is three tokens none of which is the
+//! `unsafe` keyword, and test gating is the item tree's `#[cfg(test)]`
+//! scopes rather than a per-line bitmap.
 //!
-//! Content-anchored rules — golden-constants (R4) and bench-schema (R7) —
-//! stay on the string scanner: they match literal byte sequences in
-//! specific files and gain nothing from tokens. The analyze driver runs
-//! them via the PR-5 entry points.
+//! Content-anchored rules — golden-constants and bench-schema — match
+//! literal byte sequences in specific files and gain nothing from tokens;
+//! they live in `lib.rs` and `analyze_root` runs them alongside.
 
 use std::collections::BTreeSet;
 use std::fs;

@@ -63,7 +63,6 @@ const SINKS: &[(&str, &[&str])] = &[
     ("encode_hello", &["server"]),
     ("encode_stat", &["server"]),
     ("append_frame", &["server"]),
-    ("append_frame_versioned", &["server"]),
     ("write_frame", &["server"]),
     ("encode", &["server", "cluster"]),
     ("encode_into", &["server"]),

@@ -1,7 +1,5 @@
 //! End-to-end fixture crates driven through `analyze_root` — the same
-//! entry point CI uses — one violating and one clean fixture per pass,
-//! plus the negative control showing the PR-5 string linter misses a
-//! taint flow the token-tree pass catches.
+//! entry point CI uses — one violating and one clean fixture per pass.
 //!
 //! Fixtures are written to per-test temp directories shaped like a real
 //! workspace (`crates/<name>/src/*.rs`); findings are filtered by rule
@@ -70,39 +68,6 @@ fn raw_report_to_wire_flow_is_rejected() {
     assert!(
         !taint[0].trace.is_empty(),
         "taint finding must carry a flow trace"
-    );
-}
-
-/// Negative control: the same raw-report-to-wire fixture sails through the
-/// PR-5 string linter (it has no dataflow concept), while `analyze_root`
-/// rejects it — the token-tree pass is strictly stronger here.
-#[test]
-fn old_string_lint_misses_the_taint_flow() {
-    let root = fixture(
-        "taint-control",
-        &[
-            DATASET,
-            WIRE,
-            (
-                "crates/server/src/bad.rs",
-                "fn leak(d: &Dataset, buf: &mut Vec<u8>) {\n\
-                     let raw = d.row(0);\n\
-                     encode_reports(buf, raw);\n\
-                 }\n",
-            ),
-        ],
-    );
-    let old = xtask::lint_root(&root);
-    assert!(
-        old.iter().all(|d| !d.file.ends_with("bad.rs")),
-        "string linter unexpectedly flagged the flow file: {old:?}"
-    );
-    let new = analyze_root(&root);
-    assert!(
-        by_rule(&new.findings, "privacy-taint")
-            .iter()
-            .any(|f| f.file.ends_with("bad.rs")),
-        "token-tree pass should flag what the string linter missed"
     );
 }
 
@@ -289,6 +254,253 @@ fn unwrap_in_server_is_rejected() {
     );
     let rep = analyze_root(&root);
     assert_eq!(by_rule(&rep.findings, "no-panic").len(), 1);
+}
+
+/// Everything the token rules must tolerate: rule tokens inside string,
+/// raw-string, byte-string and char literals, doc and block comments, a
+/// `// SAFETY:`-commented unsafe fn, and unwraps, panics and raw
+/// `std::thread` inside test code.
+#[test]
+fn token_rules_tolerate_literals_comments_and_tests() {
+    let root = fixture(
+        "rules-clean",
+        &[(
+            "crates/server/src/ok.rs",
+            concat!(
+                "//! Doc examples may call `.unwrap()` or even panic!(freely).\n",
+                "use felip_sync::{Mutex, thread};\n",
+                "\n",
+                "fn fine<'a>(x: &'a str) -> &'a str {\n",
+                "    let _s = \"call .unwrap() or panic!(now) or std::thread::spawn\";\n",
+                "    let _q = '\"';\n",
+                "    let _r = r\"raw .expect( string\";\n",
+                "    let _b = b\"byte panic!( string epoll_wait asm!(\";\n",
+                "    /* block comment: .unwrap() epoll_ctl */\n",
+                "    x\n",
+                "}\n",
+                "\n",
+                "// SAFETY: the pointer is valid for the whole call; see `fine`.\n",
+                "unsafe fn justified() {}\n",
+                "\n",
+                "#[cfg(test)]\n",
+                "mod tests {\n",
+                "    #[test]\n",
+                "    fn tests_may_unwrap() {\n",
+                "        Some(1).unwrap();\n",
+                "        std::thread::spawn(|| panic!(\"fine in tests\"));\n",
+                "    }\n",
+                "}\n",
+            ),
+        )],
+    );
+    let rep = analyze_root(&root);
+    for rule in [
+        "no-panic",
+        "sync-shims",
+        "safety-comments",
+        "reactor-syscalls",
+    ] {
+        assert!(
+            by_rule(&rep.findings, rule).is_empty(),
+            "false positives: {:?}",
+            rep.findings
+        );
+    }
+}
+
+/// `no-panic` covers every ingestion-path crate and names file and line.
+#[test]
+fn no_panic_fires_per_crate_with_file_and_line() {
+    let root = fixture(
+        "rules-panic-crates",
+        &[
+            (
+                "crates/server/src/bad.rs",
+                "fn f() {\n    let x: Option<u32> = None;\n    x.unwrap();\n}\n",
+            ),
+            (
+                "crates/cli/src/bad.rs",
+                "fn g() {\n    panic!(\"boom\");\n}\n",
+            ),
+            (
+                "crates/fo/src/bad.rs",
+                "fn h() {\n    let r: Result<(), ()> = Ok(());\n    r.expect(\"oops\");\n}\n",
+            ),
+            (
+                "crates/cluster/src/bad.rs",
+                "fn k() {\n    let v: Vec<u8> = Vec::new();\n    let _ = v.first().unwrap();\n}\n",
+            ),
+            ("crates/grid/src/free.rs", "fn m() { Some(1).unwrap(); }\n"),
+        ],
+    );
+    let rep = analyze_root(&root);
+    let mut hits: Vec<(String, u32)> = by_rule(&rep.findings, "no-panic")
+        .iter()
+        .map(|f| (f.file.display().to_string(), f.line))
+        .collect();
+    hits.sort();
+    assert_eq!(
+        hits,
+        [
+            ("crates/cli/src/bad.rs".to_string(), 2),
+            ("crates/cluster/src/bad.rs".to_string(), 3),
+            ("crates/fo/src/bad.rs".to_string(), 3),
+            ("crates/server/src/bad.rs".to_string(), 3),
+        ]
+    );
+}
+
+/// `sync-shims` fires on raw `std::sync` / `std::thread` in the modelled
+/// crates only.
+#[test]
+fn sync_shims_fire_only_in_modelled_crates() {
+    let root = fixture(
+        "rules-sync",
+        &[
+            (
+                "crates/server/src/bad_sync.rs",
+                "use std::sync::Mutex;\nfn f() { std::thread::spawn(|| {}); }\n",
+            ),
+            (
+                "crates/cluster/src/bad_sync.rs",
+                "fn h() { std::thread::spawn(|| {}); }\n",
+            ),
+            (
+                "crates/fo/src/fine.rs",
+                "use std::sync::Arc;\nfn g() -> Arc<u32> { Arc::new(1) }\n",
+            ),
+        ],
+    );
+    let rep = analyze_root(&root);
+    let sync = by_rule(&rep.findings, "sync-shims");
+    assert_eq!(sync.len(), 3, "{sync:?}");
+    assert!(sync
+        .iter()
+        .all(|f| f.file.starts_with("crates/server") || f.file.starts_with("crates/cluster")));
+    assert!(
+        sync.iter()
+            .any(|f| f.file.ends_with("cluster/src/bad_sync.rs") && f.line == 1),
+        "{sync:?}"
+    );
+}
+
+/// Attributes may sit between a `// SAFETY:` comment and its `unsafe`.
+#[test]
+fn safety_comment_may_precede_attributes() {
+    let root = fixture(
+        "rules-safety-attrs",
+        &[(
+            "crates/fo/src/kernels.rs",
+            "// SAFETY: feature detected by the caller.\n\
+             #[cfg(target_arch = \"x86_64\")]\n\
+             #[target_feature(enable = \"avx2\")]\n\
+             unsafe fn ok() {}\n\
+             \n\
+             unsafe fn bad() {}\n",
+        )],
+    );
+    let rep = analyze_root(&root);
+    let safety = by_rule(&rep.findings, "safety-comments");
+    assert_eq!(safety.len(), 1, "{safety:?}");
+    assert_eq!(safety[0].line, 6);
+    assert!(safety[0].file.ends_with("fo/src/kernels.rs"));
+}
+
+/// `reactor-syscalls`: allowed in the reactor module, flagged with its
+/// line anywhere else, never in strings or comments.
+#[test]
+fn reactor_syscalls_fire_outside_the_reactor_only() {
+    let root = fixture(
+        "rules-reactor",
+        &[
+            (
+                "crates/server/src/reactor.rs",
+                "// SAFETY: fixture.\nunsafe fn w() { epoll_wait(); sched_setaffinity(); }\n",
+            ),
+            (
+                "crates/bench/src/sneaky.rs",
+                "fn f() {\n    epoll_ctl();\n}\n",
+            ),
+            (
+                "crates/obs/src/doc.rs",
+                "// mentioning epoll_wait in prose is fine\n\
+                 fn f() { let _ = \"epoll_wait sched_setaffinity asm!(\"; }\n",
+            ),
+        ],
+    );
+    let rep = analyze_root(&root);
+    let hits = by_rule(&rep.findings, "reactor-syscalls");
+    assert_eq!(hits.len(), 1, "{hits:?}");
+    assert!(hits[0].file.ends_with("bench/src/sneaky.rs"));
+    assert_eq!(hits[0].line, 2);
+}
+
+/// Files claimed by `#[cfg(…test…)] mod x;` are test code in full.
+#[test]
+fn cfg_test_gated_module_files_are_skipped() {
+    let root = fixture(
+        "rules-gated",
+        &[
+            (
+                "crates/server/src/lib.rs",
+                "#[cfg(all(test, feature = \"model\"))]\nmod model_tests;\npub mod queue;\n",
+            ),
+            (
+                "crates/server/src/model_tests.rs",
+                "fn t() { Some(1).unwrap(); panic!(\"test-only\"); std::thread::yield_now(); }\n",
+            ),
+            ("crates/server/src/queue.rs", "pub fn q() {}\n"),
+        ],
+    );
+    let rep = analyze_root(&root);
+    assert!(
+        rep.findings
+            .iter()
+            .all(|f| !f.file.ends_with("model_tests.rs")),
+        "gated module file was analyzed: {:?}",
+        rep.findings
+    );
+}
+
+/// `metric-registry` checks both directions: an emitted name missing from
+/// the §11 catalogue (also when the call wraps over lines), and a
+/// catalogued name nothing emits.
+#[test]
+fn metric_registry_checks_both_directions() {
+    let root = fixture(
+        "rules-metrics",
+        &[
+            (
+                "crates/grid/src/x.rs",
+                "fn f() { felip_obs::counter!(\"server.accept\", 1, \"conns\"); }\n\
+                 fn g() { felip_obs::hist!(\"grid.unregistered\", 1, \"items\"); }\n\
+                 fn h() {\n    felip_obs::hist!(\n        \"grid.wrapped\",\n        1,\n    );\n}\n",
+            ),
+            (
+                "DESIGN.md",
+                "## 11. Observability\n\n**Metric catalogue.**\n\n\
+                 | name | type (unit) | meaning |\n|---|---|---|\n\
+                 | `server.accept` | counter (conns) | accepted connections |\n\
+                 | `ghost.metric` | counter | never emitted |\n",
+            ),
+        ],
+    );
+    let rep = analyze_root(&root);
+    let reg: Vec<String> = by_rule(&rep.findings, "metric-registry")
+        .iter()
+        .map(|f| f.to_string())
+        .collect();
+    assert_eq!(reg.len(), 3, "{reg:?}");
+    for (name, at) in [
+        ("grid.unregistered", "grid/src/x.rs:2"),
+        ("grid.wrapped", "grid/src/x.rs:"),
+        ("ghost.metric", "DESIGN.md:8"),
+    ] {
+        assert!(
+            reg.iter().any(|m| m.contains(name) && m.contains(at)),
+            "missing {name} at {at}: {reg:?}"
+        );
+    }
 }
 
 // ------------------------------------------------------- driver plumbing
