@@ -6,8 +6,9 @@
 //! summary. Any invariant violation prints the seed and fails the process,
 //! so CI surfaces the exact reproduction command.
 
+use felip_obs::json;
+use felip_obs::json::JsonValue;
 use felip_server::simharness::{run_sim, SimConfig, SimReport};
-use serde_json::{json, Value};
 
 /// Options for the chaos sweep (`--chaos` flag family).
 #[derive(Debug, Clone)]
@@ -30,7 +31,7 @@ impl Default for ChaosOptions {
     }
 }
 
-fn report_json(r: &SimReport) -> Value {
+fn report_json(r: &SimReport) -> JsonValue {
     json!({
         "seed": r.seed,
         "ok": r.ok(),
@@ -92,10 +93,7 @@ pub fn chaos_smoke(opts: &ChaosOptions) -> std::io::Result<()> {
         "failing": failing,
         "runs": reports.iter().map(report_json).collect::<Vec<_>>(),
     });
-    std::fs::write(
-        &opts.out,
-        serde_json::to_string_pretty(&doc).expect("serialize"),
-    )?;
+    std::fs::write(&opts.out, doc.to_pretty())?;
     println!("wrote {}", opts.out);
     if !failing.is_empty() {
         return Err(std::io::Error::other(format!(
@@ -120,10 +118,13 @@ mod tests {
             ..ChaosOptions::default()
         };
         chaos_smoke(&opts).unwrap();
-        let doc: Value = serde_json::from_str(&std::fs::read_to_string(&out).unwrap()).unwrap();
-        assert_eq!(doc["failing"].as_array().unwrap().len(), 0);
-        assert_eq!(doc["runs"].as_array().unwrap().len(), 1);
-        assert_eq!(doc["runs"][0]["seed"], 5);
+        let doc = felip_obs::jsonread::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
+        let array =
+            |v: &JsonValue, k: &str| v.get(k).and_then(JsonValue::as_array).unwrap().to_vec();
+        assert_eq!(array(&doc, "failing").len(), 0);
+        let runs = array(&doc, "runs");
+        assert_eq!(runs.len(), 1);
+        assert_eq!(runs[0].get("seed").and_then(JsonValue::as_u64), Some(5));
         let _ = std::fs::remove_file(&out);
     }
 }

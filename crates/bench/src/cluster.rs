@@ -25,12 +25,13 @@ use std::time::{Duration, Instant};
 
 use felip_cluster::{AggregatorConfig, AggregatorServer, StreamerConfig, UpstreamStreamer};
 use felip_common::rng::derive_seed;
+use felip_obs::json;
+use felip_obs::json::JsonValue;
 use felip_server::loadgen::{offline_reference, user_report};
 use felip_server::wire::encode_batch;
 use felip_server::{
     CutState, Frame, FrameKind, PipelinedClient, RetryPolicy, Server, ServerConfig,
 };
-use serde_json::{json, Value};
 use std::sync::Arc;
 
 /// Options for the cluster load generation run.
@@ -272,7 +273,7 @@ pub fn run_cluster_loadgen(opts: &ClusterLoadOptions) -> ClusterLoadResult {
 }
 
 /// Renders the run as the `BENCH_cluster.json` document.
-pub fn to_json(r: &ClusterLoadResult, opts: &ClusterLoadOptions) -> Value {
+pub fn to_json(r: &ClusterLoadResult, opts: &ClusterLoadOptions) -> JsonValue {
     json!({
         "bench": "cluster_loadgen",
         "transport": "tcp loopback",
@@ -317,10 +318,7 @@ pub fn cluster_smoke(opts: &ClusterLoadOptions) -> std::io::Result<()> {
         r.catchup_reports
     );
     let doc = to_json(&r, opts);
-    std::fs::write(
-        &opts.out,
-        serde_json::to_string_pretty(&doc).expect("serialize"),
-    )?;
+    std::fs::write(&opts.out, doc.to_pretty())?;
     println!("wrote {}", opts.out);
     Ok(())
 }

@@ -17,7 +17,8 @@ use std::time::Instant;
 
 use felip_common::rng::seeded_rng;
 use felip_fo::{FrequencyOracle, Olh, Report};
-use serde_json::{json, Value};
+use felip_obs::json;
+use felip_obs::json::JsonValue;
 
 /// Domain sizes swept by the smoke bench.
 pub const DOMAINS: [u32; 3] = [64, 1024, 16_384];
@@ -400,7 +401,7 @@ pub fn measure_obs_overhead(opts: &PerfOptions) -> ObsOverhead {
 }
 
 /// Renders the overhead measurement as the `BENCH_obs.json` document.
-pub fn obs_overhead_to_json(o: &ObsOverhead, opts: &PerfOptions) -> Value {
+pub fn obs_overhead_to_json(o: &ObsOverhead, opts: &PerfOptions) -> JsonValue {
     json!({
         "bench": "obs_overhead",
         "oracle": "olh",
@@ -419,24 +420,22 @@ pub fn obs_overhead_to_json(o: &ObsOverhead, opts: &PerfOptions) -> Value {
 }
 
 /// Renders the sweep as the `BENCH_ingest.json` document.
-pub fn to_json(points: &[PerfPoint], opts: &PerfOptions) -> Value {
-    let results: Vec<Value> = points
+pub fn to_json(points: &[PerfPoint], opts: &PerfOptions) -> JsonValue {
+    let results: Vec<JsonValue> = points
         .iter()
         .map(|p| {
-            let mut obj = serde_json::Map::new();
-            obj.insert("d".to_string(), json!(p.d));
-            obj.insert("n".to_string(), json!(p.n));
-            obj.insert(
-                "batched_reports_per_sec".to_string(),
-                json!(p.batched_reports_per_sec),
-            );
+            let mut obj = json!({
+                "d": p.d,
+                "n": p.n,
+                "batched_reports_per_sec": p.batched_reports_per_sec,
+            });
             if let Some(s) = p.scalar_reports_per_sec {
-                obj.insert("scalar_reports_per_sec".to_string(), json!(s));
+                obj.push("scalar_reports_per_sec", s);
             }
             if let Some(x) = p.speedup() {
-                obj.insert("batched_speedup".to_string(), json!(x));
+                obj.push("batched_speedup", x);
             }
-            Value::Object(obj)
+            obj
         })
         .collect();
     json!({
@@ -504,10 +503,7 @@ pub fn perf_smoke(opts: &PerfOptions) -> std::io::Result<()> {
         points.push(p);
     }
     let doc = to_json(&points, opts);
-    std::fs::write(
-        &opts.out,
-        serde_json::to_string_pretty(&doc).expect("serialize"),
-    )?;
+    std::fs::write(&opts.out, doc.to_pretty())?;
     println!("wrote {}", opts.out);
     if opts.obs_overhead {
         let o = measure_obs_overhead(opts);
@@ -521,10 +517,7 @@ pub fn perf_smoke(opts: &PerfOptions) -> std::io::Result<()> {
             o.overhead_pct()
         );
         let doc = obs_overhead_to_json(&o, opts);
-        std::fs::write(
-            &opts.obs_out,
-            serde_json::to_string_pretty(&doc).expect("serialize"),
-        )?;
+        std::fs::write(&opts.obs_out, doc.to_pretty())?;
         println!("wrote {}", opts.obs_out);
     }
     if opts.metrics {

@@ -26,12 +26,13 @@ use std::time::Instant;
 
 use felip_common::rng::derive_seed;
 use felip_common::Predicate;
+use felip_obs::json;
+use felip_obs::json::JsonValue;
 use felip_server::loadgen::{offline_reference, user_report};
 use felip_server::wire::encode_batch;
 use felip_server::{
     Client, Frame, FrameKind, PipelinedClient, QueryMode, RetryPolicy, Server, ServerConfig,
 };
-use serde_json::{json, Value};
 
 /// Options for the mixed ingest + query load generation run.
 #[derive(Debug, Clone)]
@@ -78,9 +79,10 @@ pub struct QueryLoadResult {
     pub max_staleness_epochs: u64,
     /// Mean answer staleness over every query.
     pub mean_staleness_epochs: f64,
-    /// Engine cache hits (warm epoch served without a cut).
+    /// Engine refreshes served warm (no grid changed).
     pub cache_hits: u64,
-    /// Per-grid de-bias recomputations (cold or invalidated grids).
+    /// Engine refreshes that re-ran the pipeline (some grid cold or
+    /// invalidated).
     pub cache_misses: u64,
     /// Cached grids invalidated by changed counts.
     pub cache_invalidations: u64,
@@ -283,7 +285,7 @@ pub fn run_query_loadgen(opts: &QueryLoadOptions) -> QueryLoadResult {
 }
 
 /// Renders the run as the `BENCH_query.json` document.
-pub fn to_json(r: &QueryLoadResult, opts: &QueryLoadOptions) -> Value {
+pub fn to_json(r: &QueryLoadResult, opts: &QueryLoadOptions) -> JsonValue {
     json!({
         "bench": "query_loadgen",
         "transport": "tcp loopback",
@@ -329,10 +331,7 @@ pub fn query_smoke(opts: &QueryLoadOptions) -> std::io::Result<()> {
         r.cache_invalidations,
     );
     let doc = to_json(&r, opts);
-    std::fs::write(
-        &opts.out,
-        serde_json::to_string_pretty(&doc).expect("serialize"),
-    )?;
+    std::fs::write(&opts.out, doc.to_pretty())?;
     println!("wrote {}", opts.out);
     Ok(())
 }
@@ -354,7 +353,7 @@ mod tests {
         assert!(r.ingest_reports_per_sec > 0.0);
         assert!(r.query_p99_ms >= r.query_p50_ms);
         // The final Fresh verification always runs the engine at least
-        // once, so the miss counter covers every grid of the plan.
+        // once, so at least one refresh missed the cache.
         assert!(r.cache_misses > 0);
 
         let doc = to_json(&r, &opts);

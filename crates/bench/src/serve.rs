@@ -28,10 +28,11 @@ use felip::config::FelipConfig;
 use felip::plan::CollectionPlan;
 use felip_common::rng::derive_seed;
 use felip_common::{Attribute, Schema};
+use felip_obs::json;
+use felip_obs::json::JsonValue;
 use felip_server::loadgen::user_report;
 use felip_server::wire::encode_batch;
 use felip_server::{Frame, FrameKind, PipelinedClient, RetryPolicy, Server, ServerConfig};
-use serde_json::{json, Value};
 
 /// Options for the serve load generation run. The three `Vec` fields are
 /// sweep axes — a single-element list is a single run.
@@ -301,24 +302,25 @@ pub fn run_serve_loadgen(opts: &ServeLoadOptions, case: ServeCase) -> ServeLoadR
     }
 }
 
-/// Builds the key/value map for one case.
-fn case_map(r: &ServeLoadResult, opts: &ServeLoadOptions) -> serde_json::Map<String, Value> {
-    let mut map = serde_json::Map::new();
-    map.insert("connections".to_string(), json!(r.case.connections));
-    map.insert("workers".to_string(), json!(r.case.workers));
-    map.insert("queue_capacity".to_string(), json!(opts.queue_capacity));
-    map.insert("batch".to_string(), json!(opts.batch));
-    map.insert("window".to_string(), json!(opts.window));
-    map.insert("reports".to_string(), json!(r.reports));
-    map.insert("frames".to_string(), json!(r.frames));
-    map.insert("retries".to_string(), json!(r.retries));
-    map.insert("elapsed_s".to_string(), json!(r.elapsed_s));
-    map.insert("reports_per_sec".to_string(), json!(r.reports_per_sec));
-    map.insert("frame_p50_us".to_string(), json!(r.p50_us));
-    map.insert("frame_p99_us".to_string(), json!(r.p99_us));
+/// Builds the JSON object for one case.
+fn case_json(r: &ServeLoadResult, opts: &ServeLoadOptions) -> JsonValue {
+    let mut doc = json!({
+        "connections": r.case.connections,
+        "workers": r.case.workers,
+        "queue_capacity": opts.queue_capacity,
+        "batch": opts.batch,
+        "window": opts.window,
+        "reports": r.reports,
+        "frames": r.frames,
+        "retries": r.retries,
+        "elapsed_s": r.elapsed_s,
+        "reports_per_sec": r.reports_per_sec,
+        "frame_p50_us": r.p50_us,
+        "frame_p99_us": r.p99_us,
+    });
     if let Some(stages) = &r.stages {
-        map.insert(
-            "stage_ns_per_report".to_string(),
+        doc.push(
+            "stage_ns_per_report",
             json!({
                 "accept": stages.accept_ns,
                 "decode": stages.decode_ns,
@@ -328,7 +330,7 @@ fn case_map(r: &ServeLoadResult, opts: &ServeLoadOptions) -> serde_json::Map<Str
             }),
         );
     }
-    map
+    doc
 }
 
 /// The std-path throughput measured at the mid-PR checkpoint: shim fix
@@ -343,32 +345,25 @@ const STD_PATH_CHECKPOINT_REPORTS_PER_SEC: f64 = 6_000_000.0;
 /// Renders the sweep as the `BENCH_serve.json` document: headline fields
 /// from the best case by throughput, plus every case under `"runs"` and
 /// the fixed pre-reactor checkpoint under `"std_path_checkpoint"`.
-pub fn to_json(results: &[ServeLoadResult], opts: &ServeLoadOptions) -> Value {
+pub fn to_json(results: &[ServeLoadResult], opts: &ServeLoadOptions) -> JsonValue {
     let best = results
         .iter()
         .max_by(|a, b| a.reports_per_sec.total_cmp(&b.reports_per_sec))
         .expect("at least one case");
-    let mut doc = case_map(best, opts);
-    doc.insert("bench".to_string(), json!("serve_loadgen"));
-    doc.insert("transport".to_string(), json!("tcp loopback"));
-    doc.insert(
-        "std_path_checkpoint".to_string(),
+    let mut doc = case_json(best, opts);
+    doc.push("bench", "serve_loadgen");
+    doc.push("transport", "tcp loopback");
+    doc.push(
+        "std_path_checkpoint",
         json!({
             "reports_per_sec": STD_PATH_CHECKPOINT_REPORTS_PER_SEC,
             "note": "thread-per-connection path after the shim/CRC fixes, \
                      measured mid-PR before the reactor replaced it",
         }),
     );
-    doc.insert(
-        "runs".to_string(),
-        Value::Array(
-            results
-                .iter()
-                .map(|r| Value::Object(case_map(r, opts)))
-                .collect(),
-        ),
-    );
-    Value::Object(doc)
+    let runs: Vec<JsonValue> = results.iter().map(|r| case_json(r, opts)).collect();
+    doc.push("runs", runs);
+    doc
 }
 
 /// Runs the sweep, prints one line per case, and writes the JSON
@@ -396,10 +391,7 @@ pub fn serve_smoke(opts: &ServeLoadOptions) -> std::io::Result<()> {
         results.push(r);
     }
     let doc = to_json(&results, opts);
-    std::fs::write(
-        &opts.out,
-        serde_json::to_string_pretty(&doc).expect("serialize"),
-    )?;
+    std::fs::write(&opts.out, doc.to_pretty())?;
     println!("wrote {}", opts.out);
     Ok(())
 }

@@ -14,6 +14,7 @@ use std::time::Duration;
 use felip::aggregator::OracleSet;
 use felip_cluster::{AggregatorConfig, AggregatorServer};
 use felip_obs::diag;
+use felip_obs::json::JsonValue;
 use felip_server::{signal, Snapshot};
 
 use crate::args::Flags;
@@ -47,16 +48,16 @@ pub fn aggregate(args: &[String]) -> CmdResult {
     ));
     let run = server.run(Some(shutdown))?;
 
-    let nodes: Vec<serde_json::Value> = run
+    let nodes: Vec<JsonValue> = run
         .nodes
         .iter()
         .map(|&(id, epoch, reports)| {
-            serde_json::json!({ "node": id, "epoch": epoch, "reports": reports })
+            felip_obs::json!({ "node": id, "epoch": epoch, "reports": reports })
         })
         .collect();
     println!(
         "{}",
-        serde_json::to_string_pretty(&serde_json::json!({
+        felip_obs::json!({
             "command": "aggregate",
             "reports_merged": run.merged.reports_ingested(),
             "counts_digest": format!("{:016x}", run.merged.counts_digest()),
@@ -66,7 +67,8 @@ pub fn aggregate(args: &[String]) -> CmdResult {
             "deltas_duplicate": run.stats.deltas_duplicate,
             "deltas_resync": run.stats.deltas_resync,
             "frames_rejected": run.stats.frames_rejected,
-        }))?
+        })
+        .to_pretty()
     );
     Ok(())
 }
@@ -89,13 +91,13 @@ pub fn estimate(args: &[String]) -> CmdResult {
     let digest = restored.counts_digest();
     let estimator = restored.estimate()?;
 
-    let grids: Vec<serde_json::Value> = estimator
+    let grids: Vec<JsonValue> = estimator
         .grids()
         .iter()
         .enumerate()
         .filter(|(i, _)| only_grid.is_none_or(|g| g == *i))
         .map(|(i, grid)| {
-            serde_json::json!({
+            felip_obs::json!({
                 "grid": i,
                 "cells": grid.freqs().len(),
                 "freqs": grid.freqs(),
@@ -112,13 +114,14 @@ pub fn estimate(args: &[String]) -> CmdResult {
     }
     println!(
         "{}",
-        serde_json::to_string_pretty(&serde_json::json!({
+        felip_obs::json!({
             "command": "estimate",
             "snapshot": snapshot_path.display().to_string(),
             "reports": reports,
             "counts_digest": format!("{digest:016x}"),
             "grids": grids,
-        }))?
+        })
+        .to_pretty()
     );
     Ok(())
 }

@@ -5,6 +5,7 @@ use felip_baselines::hio::run_hio;
 use felip_common::metrics::mae;
 use felip_common::{Dataset, Error, Query, Result};
 use felip_datasets::{generate_queries, DatasetKind, GenOptions, WorkloadOptions};
+use felip_obs::json::JsonValue;
 
 use crate::args::{parse_schema, Flags};
 
@@ -135,13 +136,13 @@ pub fn run(args: &[String]) -> std::result::Result<(), Box<dyn std::error::Error
     let est = simulate(&s.data, &config, s.seed).map_err(boxed)?;
     let answers = est.answer_all(&s.queries).map_err(boxed)?;
 
-    let per_query: Vec<serde_json::Value> = s
+    let per_query: Vec<JsonValue> = s
         .queries
         .iter()
         .zip(&answers)
         .zip(&s.truth)
         .map(|((q, a), t)| {
-            serde_json::json!({
+            felip_obs::json!({
                 "attrs": q.attrs(),
                 "estimate": a,
                 "truth": t,
@@ -149,14 +150,14 @@ pub fn run(args: &[String]) -> std::result::Result<(), Box<dyn std::error::Error
             })
         })
         .collect();
-    let report = serde_json::json!({
+    let report = felip_obs::json!({
         "strategy": strategy.to_string(),
         "epsilon": s.epsilon,
         "n": s.data.len(),
         "queries": per_query,
         "mae": mae(&answers, &s.truth),
     });
-    println!("{}", serde_json::to_string_pretty(&report)?);
+    println!("{}", report.to_pretty());
     Ok(())
 }
 
@@ -165,27 +166,24 @@ pub fn compare(args: &[String]) -> std::result::Result<(), Box<dyn std::error::E
     let flags = Flags::parse(args).map_err(boxed)?;
     let s = setup(&flags).map_err(boxed)?;
 
-    let mut rows = serde_json::Map::new();
+    let mut rows = felip_obs::json!({});
     for strategy in [Strategy::Oug, Strategy::Ohg] {
         let config = FelipConfig::new(s.epsilon).with_strategy(strategy);
         let est = simulate(&s.data, &config, s.seed).map_err(boxed)?;
         let answers = est.answer_all(&s.queries).map_err(boxed)?;
-        rows.insert(
-            strategy.to_string(),
-            serde_json::json!(mae(&answers, &s.truth)),
-        );
+        rows.push(&strategy.to_string(), mae(&answers, &s.truth));
     }
     let hio = run_hio(&s.data, s.epsilon, s.seed).map_err(boxed)?;
     let answers = hio.answer_all(&s.queries).map_err(boxed)?;
-    rows.insert("HIO".into(), serde_json::json!(mae(&answers, &s.truth)));
+    rows.push("HIO", mae(&answers, &s.truth));
 
-    let report = serde_json::json!({
+    let report = felip_obs::json!({
         "epsilon": s.epsilon,
         "n": s.data.len(),
         "query_count": s.queries.len(),
         "mae": rows,
     });
-    println!("{}", serde_json::to_string_pretty(&report)?);
+    println!("{}", report.to_pretty());
     Ok(())
 }
 
@@ -309,7 +307,7 @@ pub fn query(args: &[String]) -> std::result::Result<(), Box<dyn std::error::Err
     let answer = est.answer(&q).map_err(boxed)?;
     let truth = q.true_answer(&data);
 
-    let report = serde_json::json!({
+    let report = felip_obs::json!({
         "csv": path,
         "n": data.len(),
         "epsilon": epsilon,
@@ -320,7 +318,7 @@ pub fn query(args: &[String]) -> std::result::Result<(), Box<dyn std::error::Err
         "true_answer": truth,
         "abs_error": (answer - truth).abs(),
     });
-    println!("{}", serde_json::to_string_pretty(&report)?);
+    println!("{}", report.to_pretty());
     Ok(())
 }
 

@@ -17,6 +17,7 @@ use felip_cluster::{StreamerConfig, UpstreamStreamer};
 use felip_common::rng::derive_seed;
 use felip_common::Predicate;
 use felip_obs::diag;
+use felip_obs::json::JsonValue;
 use felip_server::loadgen::{offline_reference, user_report};
 use felip_server::wire::{encode_stat, read_frame, write_frame, QueryMode, StatMode};
 use felip_server::{
@@ -109,7 +110,8 @@ pub fn serve(args: &[String]) -> CmdResult {
 
     // Cluster mode: flush the final merged state upstream so the
     // aggregator's view of this node is complete before we exit.
-    let mut upstream_json = serde_json::Value::Null;
+    let mut upstream_json = JsonValue::Null;
+    let mut flush_incomplete = false;
     if let Some(streamer) = streamer {
         let final_cut = CutState {
             counts: run.aggregator.counts().to_vec(),
@@ -122,8 +124,9 @@ pub fn serve(args: &[String]) -> CmdResult {
         };
         if !flushed {
             diag::error("felip serve: final delta flush did not reach the aggregator in time");
+            flush_incomplete = true;
         }
-        upstream_json = serde_json::json!({
+        upstream_json = felip_obs::json!({
             "flushed": flushed,
             "deltas_acked": report.deltas_acked,
             "full_resyncs": report.full_resyncs,
@@ -133,7 +136,7 @@ pub fn serve(args: &[String]) -> CmdResult {
 
     println!(
         "{}",
-        serde_json::to_string_pretty(&serde_json::json!({
+        felip_obs::json!({
             "command": "serve",
             "reports_ingested": run.aggregator.reports_ingested(),
             "connections": run.stats.connections,
@@ -142,12 +145,10 @@ pub fn serve(args: &[String]) -> CmdResult {
             "frames_rejected": run.stats.frames_rejected,
             "snapshots_written": run.stats.snapshots_written,
             "upstream": upstream_json,
-        }))?
+        })
+        .to_pretty()
     );
-    if upstream_json
-        .get("flushed")
-        .is_some_and(|f| f == &serde_json::Value::Bool(false))
-    {
+    if flush_incomplete {
         return Err("final delta flush incomplete".into());
     }
     Ok(())
@@ -234,7 +235,7 @@ pub fn load(args: &[String]) -> CmdResult {
     let resumed: u64 = totals.iter().map(|(_, _, k)| k).sum();
     println!(
         "{}",
-        serde_json::to_string_pretty(&serde_json::json!({
+        felip_obs::json!({
             "command": "load",
             "addr": addr,
             "users": users,
@@ -243,7 +244,8 @@ pub fn load(args: &[String]) -> CmdResult {
             "retries": retries,
             "batches_resumed": resumed,
             "connections": connections,
-        }))?
+        })
+        .to_pretty()
     );
     if sent != users {
         return Err(format!("sent {sent} of {users} reports").into());
@@ -278,7 +280,7 @@ pub fn verify(args: &[String]) -> CmdResult {
     };
     println!(
         "{}",
-        serde_json::to_string_pretty(&serde_json::json!({
+        felip_obs::json!({
             "command": "verify",
             "snapshot": snapshot_path.display().to_string(),
             "users": users,
@@ -287,7 +289,8 @@ pub fn verify(args: &[String]) -> CmdResult {
             "counts_bit_identical": counts_equal,
             "group_sizes_bit_identical": groups_equal,
             "estimates_bit_identical": estimates_equal,
-        }))?
+        })
+        .to_pretty()
     );
     if !(counts_equal && groups_equal && estimates_equal) {
         return Err("snapshot does not match the offline reference collection".into());
@@ -384,8 +387,7 @@ pub fn stat(args: &[String]) -> CmdResult {
 /// snapshot. Counters and gauges contribute their value; histograms
 /// contribute their sample count (renamed `<name>.count`) so latency
 /// metrics still sum meaningfully across nodes.
-fn fanin_rows(doc: &felip_obs::jsonread::JsonValue) -> Result<Vec<(String, String, f64)>, String> {
-    use felip_obs::jsonread::JsonValue;
+fn fanin_rows(doc: &JsonValue) -> Result<Vec<(String, String, f64)>, String> {
     if doc.get("t").and_then(|t| t.as_str()) != Some("metrics") {
         return Err("not a metrics snapshot (missing t=\"metrics\")".into());
     }
@@ -419,10 +421,7 @@ fn fanin_rows(doc: &felip_obs::jsonread::JsonValue) -> Result<Vec<(String, Strin
 /// Renders the multi-node fan-in table: one column per `--addr`, one
 /// cluster sum column, one row per metric seen on any node (all-zero rows
 /// skipped, like the single-node table).
-fn render_fanin_table(
-    addrs: &[String],
-    docs: &[felip_obs::jsonread::JsonValue],
-) -> Result<String, String> {
+fn render_fanin_table(addrs: &[String], docs: &[JsonValue]) -> Result<String, String> {
     let per_node: Vec<Vec<(String, String, f64)>> =
         docs.iter().map(fanin_rows).collect::<Result<_, _>>()?;
 
@@ -596,7 +595,7 @@ pub fn query_online(flags: &Flags) -> CmdResult {
         if format == "json" {
             println!(
                 "{}",
-                serde_json::to_string_pretty(&serde_json::json!({
+                felip_obs::json!({
                     "command": "query",
                     "addr": addr,
                     "estimate": ans.answer,
@@ -605,7 +604,8 @@ pub fn query_online(flags: &Flags) -> CmdResult {
                     "epoch": ans.epoch,
                     "head_epoch": ans.head_epoch,
                     "staleness": staleness,
-                }))?
+                })
+                .to_pretty()
             );
         } else {
             println!(

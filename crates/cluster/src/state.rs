@@ -282,10 +282,12 @@ impl ClusterState {
         plan: Arc<CollectionPlan>,
         oracles: Arc<OracleSet>,
     ) -> Result<ClusterState, WireError> {
-        if bytes.len() < 20 {
+        // The fixed header (magic, version, reserved, plan hash, node
+        // count: 20 bytes) plus the trailing CRC.
+        if bytes.len() < 24 {
             return Err(WireError::Truncated {
                 have: bytes.len(),
-                need: 20,
+                need: 24,
             });
         }
         let body = &bytes[..bytes.len() - 4];
@@ -548,6 +550,30 @@ mod tests {
                 Arc::new(OracleSet::build(&st.plan_handle()))
             )
             .is_err());
+        }
+    }
+
+    /// Every prefix shorter than header + CRC, re-sealed with a valid CRC
+    /// (so the checksum cannot be what rejects it), is `Truncated`: 20–23
+    /// byte inputs used to index past the body into the node count.
+    #[test]
+    fn short_resealed_prefixes_are_truncated_not_panics() {
+        let st = state();
+        let bytes = st.encode();
+        for len in 0..24usize {
+            let mut short = bytes[..len.saturating_sub(4)].to_vec();
+            short.extend_from_slice(&wire::crc32(&short).to_le_bytes());
+            short.truncate(len);
+            let got = ClusterState::decode(
+                &short,
+                st.plan_handle(),
+                Arc::new(OracleSet::build(&st.plan_handle())),
+            );
+            assert!(
+                matches!(got, Err(WireError::Truncated { need: 24, .. })),
+                "len {len}: {:?}",
+                got.err()
+            );
         }
     }
 

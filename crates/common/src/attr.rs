@@ -4,8 +4,6 @@
 //! (numerical) or *categorical*, with per-attribute domain sizes
 //! `d_1..d_k`. An attribute value is always an index in `0..d_t`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 
 /// Whether an attribute's domain is ordered.
@@ -14,7 +12,7 @@ use crate::error::{Error, Result};
 /// binned into grid cells that cover contiguous sub-intervals. Categorical
 /// attributes admit `IN` set predicates and are never binned: each category
 /// is its own grid cell (§5.2, "Categorical 1-D Grids").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttrKind {
     /// Ordered domain; supports range (`BETWEEN`) predicates and binning.
     Numerical,
@@ -35,7 +33,7 @@ impl AttrKind {
 }
 
 /// One attribute of the multidimensional schema.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Attribute {
     /// Human-readable name (`"age"`, `"education"`, ...). Names must be
     /// unique within a [`Schema`].
@@ -68,7 +66,7 @@ impl Attribute {
 
 /// An ordered collection of attributes shared by a dataset, a collection
 /// plan, and the queries issued against it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     attrs: Vec<Attribute>,
 }

@@ -9,14 +9,12 @@
 //! The answer of a query is the *fraction* of records satisfying every
 //! predicate: `f̃_q = |{v_i | v_i^t ∈ v_t ∀ a_t ∈ A_q}| / n`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::attr::{AttrKind, Schema};
 use crate::dataset::Dataset;
 use crate::error::{Error, Result};
 
 /// The constraint a predicate places on one attribute.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PredicateTarget {
     /// Inclusive range `[lo, hi]` on a numerical attribute.
     Range {
@@ -48,7 +46,7 @@ impl PredicateTarget {
 }
 
 /// One conjunct of a query: a constraint on a single attribute.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Predicate {
     /// Index of the attribute in the schema.
     pub attr: usize,
@@ -91,7 +89,7 @@ impl Predicate {
 }
 
 /// A conjunction of predicates over distinct attributes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Query {
     predicates: Vec<Predicate>,
 }

@@ -11,7 +11,7 @@ use crate::plan::CollectionPlan;
 
 /// One user's perturbed contribution: which group (grid) it belongs to and
 /// the LDP report for that grid. This — and only this — leaves the device.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserReport {
     /// Group (= grid) index the user was assigned to.
     pub group: usize,

@@ -4,7 +4,7 @@ use felip_common::{Error, Result, Schema};
 use felip_fo::FoKind;
 
 /// Which FELIP strategy builds the grid collection (§5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// Optimized Uniform Grid: one 2-D grid per attribute pair; in-cell
     /// uniformity is assumed when answering. Best on uniform data.
@@ -29,7 +29,7 @@ impl std::fmt::Display for Strategy {
 /// The aggregator may know the exact selectivity of the workload it will
 /// serve, a per-attribute estimate, or nothing (FELIP then uses 0.5, the
 /// same assumption TDG/HDG hard-code).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SelectivityPrior {
     /// One expected selectivity for every attribute.
     Uniform(f64),
@@ -74,7 +74,7 @@ impl SelectivityPrior {
 }
 
 /// Full configuration of a FELIP collection.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FelipConfig {
     /// Privacy budget ε each user's report satisfies.
     pub epsilon: f64,

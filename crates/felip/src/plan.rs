@@ -16,7 +16,7 @@ use crate::config::{FelipConfig, Strategy};
 ///
 /// The plan is sent to clients (it contains no private data) so each user
 /// can project and perturb locally.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CollectionPlan {
     schema: Schema,
     config: FelipConfig,

@@ -177,7 +177,6 @@ impl QueryEngine {
             if self.grids[g].is_some() {
                 felip_obs::counter!("query.cache.invalidations", 1);
             }
-            felip_obs::counter!("query.cache.miss", 1);
             let freqs = self.oracles.get(g).estimate_from_counts(c, size);
             self.grids[g] = Some(GridCache {
                 counts: c.clone(),
@@ -199,6 +198,9 @@ impl QueryEngine {
                 });
             }
         }
+        // One miss per refresh that re-runs the pipeline, the same unit as
+        // `query.cache.hit`, so hit / (hit + miss) is a share of refreshes.
+        felip_obs::counter!("query.cache.miss", 1);
 
         // Post-processing couples grids (cross-grid consistency), so it
         // re-runs over the full set from the cached de-biased vectors —

@@ -5,10 +5,11 @@
 //! All tests here toggle the process-global recorder, so they serialize on
 //! one lock (the test binary runs them on concurrent threads otherwise).
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use felip::simulate::uniform_dataset;
-use felip::{simulate, FelipConfig};
+use felip::{respond, simulate, Aggregator, CollectionPlan, FelipConfig, QueryEngine};
+use felip_common::rng::seeded_rng;
 use felip_common::{Attribute, Predicate, Query, Schema};
 use felip_obs::SpanRecord;
 use proptest::prelude::*;
@@ -162,6 +163,52 @@ fn simulate_records_afo_and_ingest_metrics() {
     let events = rec.finished_events();
     let plan_events = events.iter().filter(|e| e.name == "plan.grid").count();
     assert_eq!(plan_events as u64, grids);
+}
+
+/// `query.cache.hit` and `query.cache.miss` both count refreshes, so
+/// hit / (hit + miss) is a share of refreshes however many grids a missed
+/// refresh re-estimates; `query.cache.invalidations` counts grids.
+#[test]
+fn query_cache_hit_and_miss_count_refreshes() {
+    let _g = lock();
+    let data = uniform_dataset(&schema(), 2_000, 3);
+    let plan =
+        Arc::new(CollectionPlan::build(&schema(), data.len(), &FelipConfig::new(1.0), 5).unwrap());
+    let mut agg = Aggregator::new(Arc::clone(&plan));
+    let mut rng = seeded_rng(4);
+    for (user, record) in data.rows().enumerate() {
+        agg.ingest(&respond(&plan, user, record, &mut rng).unwrap())
+            .unwrap();
+    }
+    let mut engine = QueryEngine::new(agg.plan_handle(), agg.oracles());
+    let grids = plan.num_groups() as u64;
+    assert!(grids > 1);
+
+    felip_obs::global().reset();
+    felip_obs::enable();
+    engine.refresh_from(&agg).unwrap(); // cold: every grid de-biased
+    engine.refresh_from(&agg).unwrap(); // warm
+    let mut counts = agg.counts().to_vec();
+    let mut sizes = agg.group_sizes().to_vec();
+    counts[0][0] += 1;
+    sizes[0] += 1;
+    engine.refresh(&counts, &sizes).unwrap(); // one grid moved
+    for (c, s) in counts.iter_mut().zip(&mut sizes) {
+        c[0] += 1;
+        *s += 1;
+    }
+    engine.refresh(&counts, &sizes).unwrap(); // every grid moved
+    felip_obs::disable();
+
+    let counter = |name: &str| {
+        felip_obs::global()
+            .metric(name)
+            .and_then(|m| m.value.as_u64())
+            .unwrap_or(0)
+    };
+    assert_eq!(counter("query.cache.hit"), 1);
+    assert_eq!(counter("query.cache.miss"), 3);
+    assert_eq!(counter("query.cache.invalidations"), 1 + grids);
 }
 
 proptest! {

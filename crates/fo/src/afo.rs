@@ -16,7 +16,7 @@ use crate::traits::FrequencyOracle;
 use crate::variance::{grr_variance_factor, olh_variance_factor};
 
 /// Which concrete protocol a grid uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FoKind {
     /// Generalized Randomized Response.
     Grr,

@@ -6,7 +6,7 @@
 /// GRR sends one domain value; OLH sends the user's hash seed plus the
 /// perturbed hashed value; OUE sends a perturbed bit vector packed into
 /// 64-bit words.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Report {
     /// GRR: a (possibly flipped) domain value.
     Grr(u32),

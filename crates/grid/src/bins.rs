@@ -9,7 +9,7 @@
 use felip_common::{Error, Result};
 
 /// A partition of `0..domain` into contiguous cells.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Binning {
     /// Cell boundaries: `edges[i]..edges[i+1]` is cell `i`;
     /// `edges[0] == 0`, `edges[len-1] == domain`, strictly increasing.

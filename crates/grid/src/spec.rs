@@ -7,9 +7,7 @@ use felip_fo::FoKind;
 use crate::bins::Binning;
 
 /// Identifies a grid within a collection plan by the attributes it covers.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum GridId {
     /// 1-D grid over a single attribute.
     One(usize),
@@ -45,7 +43,7 @@ impl std::fmt::Display for GridId {
 }
 
 /// One axis of a grid: an attribute and its binning.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Axis {
     /// Index of the attribute in the schema.
     pub attr: usize,
@@ -109,7 +107,7 @@ impl Axis {
 
 /// A full grid specification: axes, the frequency-oracle protocol used to
 /// report on it, and the user-group index assigned to it.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GridSpec {
     id: GridId,
     axes: Vec<Axis>,

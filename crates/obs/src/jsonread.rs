@@ -1,22 +1,27 @@
-//! Minimal JSON parsing for reading JSONL traces back in.
+//! Minimal JSON parsing: JSONL traces, STAT replies and `BENCH_*.json`
+//! documents read back in.
 //!
 //! The write side ([`crate::json`]) is hand-rolled to keep this crate
-//! dependency-free; the read side follows suit. It parses exactly the
-//! subset the exporter emits — objects, arrays, strings, numbers, bools,
-//! null — and rejects everything else with a typed error instead of
-//! panicking, so a truncated trace from a killed process degrades to
-//! skipped lines rather than a crashed summarizer.
+//! dependency-free; the read side follows suit, over the same
+//! [`JsonValue`] tree. It parses exactly what the writer emits — objects,
+//! arrays, strings, numbers, bools, null — and rejects everything else
+//! with a typed error instead of panicking, so a truncated trace from a
+//! killed process degrades to skipped lines rather than a crashed
+//! summarizer.
 
 use std::fmt;
 
-/// A parsed JSON value.
+/// A JSON value: what [`parse`] returns and what [`crate::json`] writes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (integers beyond 2⁵³ lose precision, as in JS).
+    /// A number written without fraction or exponent; exact over the whole
+    /// `u64` and `i64` ranges.
+    Int(i128),
+    /// Any other number (and integers beyond `i128`, which lose precision).
     Num(f64),
     /// A string with escapes decoded.
     Str(String),
@@ -44,9 +49,10 @@ impl JsonValue {
         }
     }
 
-    /// The numeric payload, if this is a number.
+    /// The numeric payload, if this is a number (integers beyond 2⁵³ round).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            JsonValue::Int(n) => Some(*n as f64),
             JsonValue::Num(n) => Some(*n),
             _ => None,
         }
@@ -55,9 +61,19 @@ impl JsonValue {
     /// The numeric payload as a non-negative integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            JsonValue::Int(n) => u64::try_from(*n).ok(),
+            // `u64::MAX as f64` rounds up to 2⁶⁴, which is out of range.
+            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
+            _ => None,
+        }
+    }
+
+    /// The elements, if this is an array.
+    pub fn as_array(&self) -> Option<&[JsonValue]> {
+        match self {
+            JsonValue::Array(items) => Some(items),
             _ => None,
         }
     }
@@ -300,6 +316,11 @@ impl<'a> Parser<'a> {
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
+        let integral = !matches!(self.peek(), Some(b'.' | b'e' | b'E'));
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
+        if let (true, Ok(n)) = (integral, text.parse::<i128>()) {
+            return Ok(JsonValue::Int(n));
+        }
         if self.peek() == Some(b'.') {
             self.pos += 1;
             while matches!(self.peek(), Some(b'0'..=b'9')) {
@@ -347,11 +368,17 @@ mod tests {
         assert_eq!(v.get("s").unwrap().as_str(), Some("a\"b\\c\ndé😀"));
         assert_eq!(v.get("f").unwrap().as_f64(), Some(-150.0));
         assert_eq!(
+            parse("18446744073709551615").unwrap().as_u64(),
+            Some(u64::MAX)
+        );
+        assert_eq!(parse("18446744073709551616.0").unwrap().as_u64(), None);
+        assert_eq!(parse("-1").unwrap().as_u64(), None);
+        assert_eq!(
             v.get("a"),
             Some(&JsonValue::Array(vec![
-                JsonValue::Num(1.0),
-                JsonValue::Num(2.0),
-                JsonValue::Num(3.0)
+                JsonValue::Int(1),
+                JsonValue::Int(2),
+                JsonValue::Int(3)
             ]))
         );
     }

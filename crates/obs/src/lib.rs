@@ -38,7 +38,6 @@
 
 #![forbid(unsafe_code)]
 
-mod json;
 mod metrics;
 mod snapshot;
 mod span;
@@ -46,6 +45,7 @@ mod summary;
 
 pub mod diag;
 pub mod flight;
+pub mod json;
 pub mod jsonread;
 
 pub use metrics::{CallsiteId, HistogramSnapshot, MetricKind, MetricSnapshot, MetricValue, Value};

@@ -233,13 +233,13 @@ pub fn render_metrics_table(doc: &JsonValue) -> Result<String, String> {
                     scale(q("max")),
                 )
             }
-            _ => match m.get("value") {
-                Some(JsonValue::Num(v)) => {
-                    if *v == 0.0 {
+            _ => match m.get("value").and_then(JsonValue::as_f64) {
+                Some(v) => {
+                    if v == 0.0 {
                         continue;
                     }
                     if v.fract() == 0.0 && v.abs() < 9e15 {
-                        format!("{}", *v as i64)
+                        format!("{}", v as i64)
                     } else {
                         format!("{v:.6}")
                     }

@@ -335,6 +335,7 @@ pub(crate) fn fmt_ns(ns: u64) -> String {
 #[cfg(all(test, not(feature = "noop")))]
 mod tests {
     use super::*;
+    use crate::jsonread::{parse, JsonValue};
     use crate::metrics::{CallsiteId, MetricKind};
     use crate::Value;
 
@@ -364,8 +365,28 @@ mod tests {
         rec
     }
 
+    /// The exported lines of kind `t`, parsed back.
+    fn exported(rec: &Recorder, t: &str) -> Vec<JsonValue> {
+        let mut buf = Vec::new();
+        rec.export_jsonl(&mut buf).unwrap();
+        String::from_utf8(buf)
+            .unwrap()
+            .lines()
+            .map(|l| parse(l).unwrap())
+            .filter(|v| v.get("t").and_then(JsonValue::as_str) == Some(t))
+            .collect()
+    }
+
+    /// The first exported line of kind `t` whose `name` is `name`.
+    fn find(rec: &Recorder, t: &str, name: &str) -> JsonValue {
+        exported(rec, t)
+            .into_iter()
+            .find(|v| v.get("name").and_then(JsonValue::as_str) == Some(name))
+            .unwrap()
+    }
+
     #[test]
-    fn jsonl_round_trips_through_serde_json() {
+    fn jsonl_round_trips_through_jsonread() {
         let rec = populated_recorder();
         let mut buf = Vec::new();
         rec.export_jsonl(&mut buf).unwrap();
@@ -378,10 +399,9 @@ mod tests {
 
         let mut kinds = Vec::new();
         for line in &lines {
-            let v: serde_json::Value = serde_json::from_str(line)
-                .unwrap_or_else(|e| panic!("bad JSON line {line:?}: {e}"));
-            assert!(v.as_object().is_some(), "each line is an object");
-            kinds.push(v["t"].as_str().unwrap().to_string());
+            let v = parse(line).unwrap_or_else(|e| panic!("bad JSON line {line:?}: {e}"));
+            assert!(matches!(v, JsonValue::Object(_)), "each line is an object");
+            kinds.push(v.get("t").and_then(JsonValue::as_str).unwrap().to_string());
         }
         assert_eq!(kinds[0], "meta");
         assert!(kinds.iter().any(|k| k == "span"));
@@ -392,53 +412,33 @@ mod tests {
     #[test]
     fn jsonl_span_parenting_and_fields_survive() {
         let rec = populated_recorder();
-        let mut buf = Vec::new();
-        rec.export_jsonl(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-
-        let spans: Vec<serde_json::Value> = text
-            .lines()
-            .map(|l| serde_json::from_str(l).unwrap())
-            .filter(|v: &serde_json::Value| v["t"] == "span")
-            .collect();
-        let outer = spans.iter().find(|s| s["name"] == "simulate").unwrap();
-        let inner = spans.iter().find(|s| s["name"] == "collect").unwrap();
-        assert!(outer["parent"].is_null());
-        assert_eq!(inner["parent"], outer["id"]);
-        assert_eq!(outer["grids"], 4);
+        let outer = find(&rec, "span", "simulate");
+        let inner = find(&rec, "span", "collect");
+        let field = |v: &JsonValue, k: &str| v.get(k).unwrap().clone();
+        assert_eq!(field(&outer, "parent"), JsonValue::Null);
+        assert_eq!(field(&inner, "parent"), field(&outer, "id"));
+        assert_eq!(field(&outer, "grids"), JsonValue::Int(4));
         // Spans are sorted by start time: outer starts first.
-        assert!(outer["start_ns"].as_u64().unwrap() <= inner["start_ns"].as_u64().unwrap());
+        let start = |v: &JsonValue| v.get("start_ns").and_then(JsonValue::as_u64).unwrap();
+        assert!(start(&outer) <= start(&inner));
     }
 
     #[test]
     fn jsonl_metrics_carry_units_and_histogram_stats() {
         let rec = populated_recorder();
-        let mut buf = Vec::new();
-        rec.export_jsonl(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-
-        let metrics: Vec<serde_json::Value> = text
-            .lines()
-            .map(|l| serde_json::from_str(l).unwrap())
-            .filter(|v: &serde_json::Value| v["t"] == "metric")
-            .collect();
-        let c = metrics
-            .iter()
-            .find(|m| m["name"] == "export.reports")
-            .unwrap();
-        assert_eq!(c["kind"], "counter");
-        assert_eq!(c["unit"], "reports");
-        assert_eq!(c["value"], 41);
-        let h = metrics
-            .iter()
-            .find(|m| m["name"] == "export.sweeps")
-            .unwrap();
-        assert_eq!(h["count"], 3);
-        assert_eq!(h["sum"], 12);
-        assert_eq!(h["min"], 3);
-        assert_eq!(h["max"], 5);
-        assert!(h["mean"].as_f64().unwrap() > 3.9 && h["mean"].as_f64().unwrap() < 4.1);
-        assert!(h["p99"].as_f64().unwrap() <= 5.0);
+        let str_of =
+            |v: &JsonValue, k: &str| v.get(k).and_then(JsonValue::as_str).unwrap().to_string();
+        let num = |v: &JsonValue, k: &str| v.get(k).and_then(JsonValue::as_f64).unwrap();
+        let c = find(&rec, "metric", "export.reports");
+        assert_eq!(str_of(&c, "kind"), "counter");
+        assert_eq!(str_of(&c, "unit"), "reports");
+        assert_eq!(c.get("value"), Some(&JsonValue::Int(41)));
+        let h = find(&rec, "metric", "export.sweeps");
+        for (k, want) in [("count", 3), ("sum", 12), ("min", 3), ("max", 5)] {
+            assert_eq!(h.get(k), Some(&JsonValue::Int(want)), "{k}");
+        }
+        assert!(num(&h, "mean") > 3.9 && num(&h, "mean") < 4.1);
+        assert!(num(&h, "p99") <= 5.0);
     }
 
     #[test]
